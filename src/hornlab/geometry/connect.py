@@ -11,8 +11,12 @@ in quadrature.  Factor solvers:
 * Horn-type blocks: radial lines when the angles agree or an endpoint is
   the collapsed axis; otherwise the rotational first integral
   ``c = f(xi) theta'`` reduces the solve to a one-parameter root find
-  over the (possibly virtual) turning level, all integrals done by
-  Gauss-Legendre panels under a square-root substitution.
+  over the (possibly virtual) turning level.  The branch integrals are
+  incomplete beta functions for pure-power profiles (``Horn``, and
+  ``PerturbedHorn`` with ``a4 = c6 = 0``); profiles with ``a4`` or
+  ``c6`` > 0, and branches starting farther from the turning level than
+  they extend, use Gauss-Legendre panels under a square-root
+  substitution.
 * b3-coupled charts: damped-Newton shooting on the initial velocity with
   a curve-shortening fallback on dyadically refined polylines.
 
@@ -29,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import beta, betainc
 
-from ..errors import ConnectError, DistanceIntervalError
+from ..errors import ConnectError, DistanceIntervalError, IntegrationError
 from .spaces import (
     BOUNDARY,
     XI_SNAP,
@@ -81,6 +86,62 @@ def _tau_panels(width: float, span: float) -> list[float]:
     return edges[::-1]
 
 
+# ---------------------------------------------------------------------------
+# closed form for the pure-power profile f = B xi^6, h = 4B (a4 = c6 = 0).
+# With u = (xi*/xi)^6 the branch integrals from the turning level are
+# incomplete beta functions (DLMF 8.17):
+#   theta = B(5/6, 1/2) I_{1-u}(1/2, 5/6) / (3 xi*^2)
+#   len   = sqrt(B) (2 xi sqrt(1-u) - (2 xi*/3) B(5/6, 1/2) I_{1-u}(1/2, 5/6))
+
+_BETA = float(beta(5.0 / 6.0, 0.5))
+
+
+def _u_pair(xi_star: float, dx: float) -> tuple[float, float]:
+    """``(u, 1 - u)`` at level ``xi_star + dx``, each to full relative
+    accuracy: ``1 - u`` keeps shallow dips, ``u`` keeps far levels."""
+    xi = xi_star + dx
+    r = dx / xi
+    if r >= 1.0:  # xi_star is 0 or below the float resolution of xi
+        return (xi_star / xi) ** 6, 1.0
+    return (xi_star / xi) ** 6, -math.expm1(6.0 * math.log1p(-r))
+
+
+def _pure_theta(xi_star: float, off: float, span: float) -> float:
+    """Swept angle over ``dx`` in ``[off, off + span]``, ``off <= span``.
+
+    Near the turning level the angle is ``I_{1-u}(1/2, 5/6)``; far out it
+    saturates and the difference is taken on the tail ``I_u(5/6, 1/2)``,
+    which would otherwise cancel to nothing.
+    """
+    u_b, v_b = _u_pair(xi_star, off + span)
+    if u_b >= 0.5:
+        frac = betainc(0.5, 5.0 / 6.0, v_b)
+        if off > 0.0:
+            frac -= betainc(0.5, 5.0 / 6.0, _u_pair(xi_star, off)[1])
+    else:
+        tail_a = 1.0
+        if off > 0.0:
+            u_a, v_a = _u_pair(xi_star, off)
+            tail_a = (betainc(5.0 / 6.0, 0.5, u_a) if u_a < 0.5
+                      else 1.0 - betainc(0.5, 5.0 / 6.0, v_a))
+        frac = tail_a - betainc(5.0 / 6.0, 0.5, u_b)
+    return max(_BETA * float(frac) / (3.0 * xi_star * xi_star), 0.0)
+
+
+def _pure_len(B: float, xi_star: float, off: float, span: float) -> float:
+    """Arclength over ``dx`` in ``[off, off + span]``, ``off <= span``."""
+
+    def primitive(dx):
+        v = _u_pair(xi_star, dx)[1]
+        return (2.0 * (xi_star + dx) * math.sqrt(v)
+                - (2.0 * xi_star / 3.0) * _BETA * float(betainc(0.5, 5.0 / 6.0, v)))
+
+    total = primitive(off + span)
+    if off > 0.0:
+        total -= primitive(off)
+    return max(math.sqrt(B) * total, 0.0)
+
+
 def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
                      kind: str, n: int = 48) -> float:
     """Theta or length integral along the branch with angular momentum
@@ -89,14 +150,25 @@ def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
 
     ``off`` and ``span`` carry the distance to the turning level exactly,
     which keeps shallow dips accurate when that distance sits far below
-    the float resolution of xi_star itself; the square-root substitution
-    absorbs the integrable singularity at dx = 0.
+    the float resolution of xi_star itself.
+
+    Pure-power profiles (``a4 = c6 = 0``: ``Horn``, and ``PerturbedHorn``
+    with only ``B`` set) use the incomplete-beta closed form whenever
+    ``off <= span``.  Otherwise, and for every profile with ``a4`` or
+    ``c6`` > 0, the integral runs on ``n``-node Gauss-Legendre panels;
+    the square-root substitution absorbs the integrable singularity at
+    dx = 0, and for ``off > span`` the integrand is smooth while the
+    closed-form difference would cancel.
     """
     if span <= 0.0:
         return 0.0
     c = math.sqrt(prof.f(xi_star))
     if kind == "theta" and c == 0.0:
         return 0.0
+    if prof.a4 == 0.0 and prof.c6 == 0.0 and off <= span:
+        if kind == "theta":
+            return _pure_theta(xi_star, off, span)
+        return _pure_len(prof.B, xi_star, off, span)
     base, ws = _gl(n)
     panels = np.asarray(_tau_panels(xi_star + off, span))
     widths = panels[1:] - panels[:-1]
@@ -918,9 +990,10 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     """Geodesic distance on the completed product space.
 
     Symmetric by construction; zero exactly when the canonicalized
-    points coincide.  If a factor solve fails to certify, the error is
-    converted to a rigorous interval [lower, upper] (the upper bound
-    routes radially through the collapsed axis).
+    points coincide.  If a factor solve fails to certify, or a shoot of
+    the coupled solver fails to integrate, the error is converted to a
+    rigorous interval [lower, upper] (the upper bound routes radially
+    through the collapsed axis).
     """
     if points_equal(p, q):
         return 0.0
@@ -940,7 +1013,7 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
                 d = _warp_distance(warp_profile(factor), a, b)
             total += d * d
         return math.sqrt(total)
-    except ConnectError:
+    except (ConnectError, IntegrationError):
         raise DistanceIntervalError(
             lower_bound_distance(space, p, q),
             upper_bound_distance(space, p, q),

@@ -20,6 +20,7 @@ set of horn-type factor indices whose block sits at the boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +29,11 @@ import numpy as np
 
 #: Below this xi a horn block is canonicalized to the boundary point: the
 #: angular coefficient xi^6 is then < 1e-42 and the completion identifies
-#: the whole axis with a single point.
+#: the whole axis with a single point.  Snapping moves a block by its
+#: radial distance to the axis, below ``2 sqrt(B) XI_SNAP``, so by the
+#: triangle inequality a computed distance is within ``2 sqrt(B) XI_SNAP``
+#: of the unsnapped one for each snapped block of either endpoint (for
+#: ``a4 > 0`` the bound carries a factor ``sqrt(1 + a4 XI_SNAP^4)``).
 XI_SNAP = 1e-7
 
 
@@ -199,6 +204,8 @@ def make_point(space: SpaceSpec, blocks) -> CompletionPoint:
 
     Horn blocks with ``xi < XI_SNAP`` snap to the boundary marker; a pair
     ``(theta, xi)`` may be given for horn blocks, plain tuples elsewhere.
+    Each snap changes distances from the point by less than
+    ``2 sqrt(B) XI_SNAP`` (see ``XI_SNAP``).
     """
     if len(blocks) != len(space.factors):
         raise ValueError(f"expected {len(space.factors)} blocks, got {len(blocks)}")
@@ -325,6 +332,22 @@ def space_to_json(space: SpaceSpec) -> dict:
     return {"factors": factors}
 
 
+def _wire_parser(parse):
+    """Report a missing or ill-typed field of a wire document as ValueError."""
+
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"{parse.__name__}: missing or ill-typed field ({type(exc).__name__}: {exc})"
+            ) from None
+
+    return checked
+
+
+@_wire_parser
 def space_from_json(doc) -> SpaceSpec:
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -363,6 +386,7 @@ def point_to_json(point: CompletionPoint) -> dict:
     return {"blocks": blocks}
 
 
+@_wire_parser
 def point_from_json(space: SpaceSpec, doc) -> CompletionPoint:
     if isinstance(doc, str):
         doc = json.loads(doc)

@@ -96,6 +96,15 @@ def test_usage_errors():
     assert main(["nonsense"]) == 3
 
 
+@pytest.mark.parametrize("space, point", [
+    (HORN_SPACE, '{"blocks":[{"kind":"interior","theta":2.0}]}'),  # no xi
+    ('{"factors":[{}]}', BOUNDARY),  # no factor kind
+    (HORN_SPACE, '{"blocks":[{"kind":"interior","theta":"east","xi":0.5}]}'),
+])
+def test_malformed_wire_documents_exit_usage(space, point):
+    assert main(["distance", "--space", space, "--from", point, "--to", BOUNDARY]) == 3
+
+
 def test_experiment_runner(tmp_path, capsys):
     rc = main(["experiment", "corners", "--out", str(tmp_path / "c"), "--seed", "3"])
     assert rc == 0

@@ -288,3 +288,33 @@ def test_warp_solver_extreme_angles():
     seg = geodesic_connect(HORN, p, q, samples=5)
     mid = seg.point_at(0.5)
     assert mid.blocks[0].theta == pytest.approx(100.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [Horn(), PerturbedHorn(B=2.0)])
+def test_snap_threshold_continuity_bound(factor):
+    # straddling XI_SNAP on one ray: the lower point snaps to the axis,
+    # which moves it by less than 2 sqrt(B) XI_SNAP
+    from hornlab.geometry import XI_SNAP
+
+    space = SpaceSpec((factor,))
+    root_b = math.sqrt(getattr(factor, "B", 1.0))
+    p = make_point(space, [(0.4, 1.01e-7)])
+    q = make_point(space, [(0.4, 0.99e-7)])
+    assert q.stratum()
+    d = distance(space, p, q)
+    unsnapped = 2.0 * root_b * (1.01e-7 - 0.99e-7)
+    assert d == pytest.approx(2.0 * root_b * 1.01e-7, rel=1e-12)
+    assert abs(d - unsnapped) <= 2.0 * root_b * XI_SNAP * (1 + 1e-12)
+
+
+def test_coupled_step_underflow_gives_interval():
+    # a b3-coupled pair whose reference shoot underflows its step size
+    from hornlab.errors import DistanceIntervalError
+
+    space = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
+    p = make_point(space, [(0.7148085531751387, 0.14718925640407762), (0.45931089285988813,)])
+    q = make_point(space, [(-0.648688758794882, 1.1711044827554205), (0.08292244049818343,)])
+    with pytest.raises(DistanceIntervalError) as exc:
+        distance(space, p, q)
+    assert exc.value.lower == pytest.approx(lower_bound_distance(space, p, q), rel=1e-15)
+    assert 0.0 < exc.value.lower <= exc.value.upper
