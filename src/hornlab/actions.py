@@ -40,6 +40,7 @@ from .geometry import (
     metric_tensor,
     point_along,
 )
+from .geometry.spaces import _wire_parser
 from .paths import DiscretePath, heat_flow, refine_flow
 
 #: Translation lengths below this count as zero for classification.
@@ -299,6 +300,7 @@ def isometry_to_json(iso: Isometry) -> dict:
     return {"factor_actions": acts, "permutation": list(iso.permutation)}
 
 
+@_wire_parser
 def isometry_from_json(space: SpaceSpec, doc) -> Isometry:
     import json as _json
 

@@ -18,7 +18,8 @@ in quadrature.  Factor solvers:
   they extend, use Gauss-Legendre panels under a square-root
   substitution.
 * b3-coupled charts: damped-Newton shooting on the initial velocity with
-  a curve-shortening fallback on dyadically refined polylines.
+  a curve-shortening fallback on dyadically refined polylines, one banded
+  LU solve per descent step.
 
 Every factor solver is symmetric in its endpoints by construction, so
 distances come out exactly symmetric.  Lengths from the first-integral
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import beta, betainc
 
@@ -55,7 +57,13 @@ from .spaces import (
     tangent_from_chart,
 )
 from .shoot import GeodesicSegment, geodesic_shoot
-from .tensors import WarpProfile, metric_at_chart, warp_profile
+from .tensors import (
+    WarpProfile,
+    metric_at_chart,
+    metric_batch,
+    metric_grad_batch,
+    warp_profile,
+)
 
 # ---------------------------------------------------------------------------
 # quadrature: Gauss-Legendre panels on [0, 1] under xi = a + (b - a) tau^2
@@ -598,9 +606,7 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
             length = math.sqrt(v @ metric_at_chart(space, x0) @ v)
             return v, length
     chord_nodes = np.linspace(0.0, 1.0, 65)[:, None] * (x1 - x0)[None, :] + x0[None, :]
-    seg = chord_nodes[1:] - chord_nodes[:-1]
-    G = metric_batch(space, 0.5 * (chord_nodes[1:] + chord_nodes[:-1]))
-    chord_len = float(np.sum(np.sqrt(np.einsum("ni,nij,nj->n", seg, G, seg))))
+    chord_len = float(np.sum(np.sqrt(_segment_sq_lengths(space, chord_nodes))))
     raise ConnectError(
         "shooting did not converge within the guess budget",
         best_path=chord_nodes, upper=chord_len,
@@ -613,11 +619,7 @@ class _ChartPolyline:
     def __init__(self, sub_space: SpaceSpec, nodes: np.ndarray, length: float):
         self.sub_space = sub_space
         self.nodes = nodes
-        seg = nodes[1:] - nodes[:-1]
-        mids = 0.5 * (nodes[1:] + nodes[:-1])
-        lens = np.array(
-            [math.sqrt(dd @ metric_at_chart(sub_space, m) @ dd) for dd, m in zip(seg, mids)]
-        )
+        lens = np.sqrt(_segment_sq_lengths(sub_space, nodes))
         self.cum = np.concatenate([[0.0], np.cumsum(lens)])
         self.length = length
 
@@ -629,83 +631,34 @@ class _ChartPolyline:
         return (1 - w) * self.nodes[i - 1] + w * self.nodes[i]
 
 
-def metric_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
-    """Chart metric evaluated over rows of X; shape (n, d, d)."""
-    n = X.shape[0]
-    d = space.dim
-    G = np.zeros((n, d, d))
-    eu_off = space.first_euclidean_offset()
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        k = sl.start
-        if isinstance(factor, Euclidean):
-            for j in range(factor.dim):
-                G[:, k + j, k + j] = 1.0
-        elif isinstance(factor, HyperbolicPlane):
-            inv = 1.0 / X[:, k + 1] ** 2
-            G[:, k, k] = inv
-            G[:, k + 1, k + 1] = inv
-        else:
-            prof = warp_profile(factor)
-            xi = X[:, k + 1]
-            G[:, k, k] = prof.f(xi)
-            G[:, k + 1, k + 1] = prof.h(xi)
-            if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
-                cross = factor.b3 * xi**3
-                G[:, k + 1, eu_off] = cross
-                G[:, eu_off, k + 1] = cross
-    return G
-
-
-def metric_grad_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
-    """Coordinate gradient of the chart metric over rows of X.
-
-    Shape (n, d, d, d): entry [., l, i, j] is the derivative of g_ij
-    along chart coordinate l.
-    """
-    n = X.shape[0]
-    d = space.dim
-    dG = np.zeros((n, d, d, d))
-    eu_off = space.first_euclidean_offset()
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        k = sl.start
-        if isinstance(factor, Euclidean):
-            continue
-        if isinstance(factor, HyperbolicPlane):
-            dv = -2.0 / X[:, k + 1] ** 3
-            dG[:, k + 1, k, k] = dv
-            dG[:, k + 1, k + 1, k + 1] = dv
-        else:
-            prof = warp_profile(factor)
-            xi = X[:, k + 1]
-            dG[:, k + 1, k, k] = prof.fp(xi)
-            dG[:, k + 1, k + 1, k + 1] = prof.hp(xi)
-            if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
-                cross = 3.0 * factor.b3 * xi**2
-                dG[:, k + 1, k + 1, eu_off] = cross
-                dG[:, k + 1, eu_off, k + 1] = cross
-    return dG
-
-
 def _block_tridiagonal_solve(A, B, C, R):
-    """Thomas elimination for block rows A_i x_{i-1} + B_i x_i + C_i x_{i+1} = R_i."""
-    n = len(B)
-    Bp = B.copy()
-    Rp = R.copy()
-    for i in range(1, n):
-        W = A[i] @ np.linalg.inv(Bp[i - 1])
-        Bp[i] = Bp[i] - W @ C[i - 1]
-        Rp[i] = Rp[i] - W @ Rp[i - 1]
-    X = np.empty_like(R)
-    X[-1] = np.linalg.solve(Bp[-1], Rp[-1])
-    for i in range(n - 2, -1, -1):
-        X[i] = np.linalg.solve(Bp[i], Rp[i] - C[i] @ X[i + 1])
-    return X
+    """Solve block rows ``A_i x_{i-1} + B_i x_i + C_i x_{i+1} = R_i``.
+
+    The ``m`` rows of ``d x d`` blocks form one banded matrix with lower
+    and upper bandwidth ``2d - 1``; strided slices write each block
+    entry into LAPACK band storage and a single banded LU with partial
+    pivoting (``gbsv``) solves it.  ``A_0`` and ``C_{m-1}`` are ignored.
+    """
+    m, d = R.shape
+    w = 2 * d - 1
+    ab = np.zeros((2 * w + 1, m * d))  # ab[w + r - c, c] = M[r, c]
+    for i in range(d):
+        for j in range(d):
+            ab[w + i - j, j::d] = B[:, i, j]
+            ab[w + d + i - j, j:(m - 1) * d:d] = A[1:, i, j]
+            ab[w - d + i - j, d + j::d] = C[:-1, i, j]
+    return solve_banded((w, w), ab, R.ravel(), check_finite=False).reshape(m, d)
+
+
+def _segment_sq_lengths(space: SpaceSpec, nodes: np.ndarray) -> np.ndarray:
+    """Squared metric length of each polyline segment, metric at its midpoint."""
+    seg = nodes[1:] - nodes[:-1]
+    G = metric_batch(space, 0.5 * (nodes[1:] + nodes[:-1]))
+    return np.einsum("ni,nij,nj->n", seg, G, seg)
 
 
 def _polyline_energy(space: SpaceSpec, nodes: np.ndarray) -> float:
-    seg = nodes[1:] - nodes[:-1]
-    G = metric_batch(space, 0.5 * (nodes[1:] + nodes[:-1]))
-    return float(np.sum(np.einsum("ni,nij,nj->n", seg, G, seg)))
+    return float(np.sum(_segment_sq_lengths(space, nodes)))
 
 
 def _energy_gradient(space: SpaceSpec, nodes: np.ndarray) -> np.ndarray:
@@ -734,8 +687,10 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
     frozen-metric block-tridiagonal system (the dominant part of the
     Hessian) against the exact gradient, which includes the metric
     derivative force, so stationary points are true discrete geodesics.
-    Refinement doubles the nodes until the length settles, with one
-    Richardson step at the end.
+    Each step is one banded LU solve over all interior nodes (bandwidth
+    ``2d - 1``, see :func:`_block_tridiagonal_solve`).  Refinement doubles
+    the nodes until the length settles, with one Richardson step at the
+    end.
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
@@ -779,9 +734,7 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
                 lam *= 0.5
             if not moved or float(np.max(np.abs(lam * step))) < 1e-14 * scale:
                 break
-        seg = nodes[1:] - nodes[:-1]
-        G = metric_batch(space, 0.5 * (nodes[1:] + nodes[:-1]))
-        length = float(np.sum(np.sqrt(np.einsum("ni,nij,nj->n", seg, G, seg))))
+        length = float(np.sum(np.sqrt(_segment_sq_lengths(space, nodes))))
         if prev_len is not None and abs(length - prev_len) < length_tol * max(1.0, length):
             length = length + (length - prev_len) / 3.0
             break
@@ -991,9 +944,10 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
 
     Symmetric by construction; zero exactly when the canonicalized
     points coincide.  If a factor solve fails to certify, or a shoot of
-    the coupled solver fails to integrate, the error is converted to a
-    rigorous interval [lower, upper] (the upper bound routes radially
-    through the collapsed axis).
+    the coupled solver fails to integrate, the error is converted to an
+    interval [lower, upper] (the upper bound routes radially through the
+    collapsed axis; see :func:`lower_bound_distance` for what the lower
+    bound assumes on coupled charts).
     """
     if points_equal(p, q):
         return 0.0
@@ -1018,25 +972,6 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
             lower_bound_distance(space, p, q),
             upper_bound_distance(space, p, q),
         ) from None
-
-
-def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
-    """Rigorous upper bound: horn blocks may route through the collapsed
-    axis, all other factors use their exact distances."""
-    total = 0.0
-    for i, factor in enumerate(space.factors):
-        a, b = p.blocks[i], q.blocks[i]
-        if isinstance(factor, Euclidean):
-            total += math.dist(a, b) ** 2
-        elif isinstance(factor, HyperbolicPlane):
-            total += _hyp_distance(a, b) ** 2
-        else:
-            prof = warp_profile(factor)
-            H, _ = _radial_primitive(prof)
-            ha = 0.0 if isinstance(a, BoundaryPoint) else H(a.xi)
-            hb = 0.0 if isinstance(b, BoundaryPoint) else H(b.xi)
-            total += (ha + hb) ** 2
-    return math.sqrt(total)
 
 
 def _hyp_distance(a, b) -> float:
@@ -1093,19 +1028,74 @@ def factor_distances(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint
     return out
 
 
+def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
+    """Rigorous upper bound: horn blocks route through the collapsed axis,
+    all other factors use their exact distances (see :func:`_radial_bound`
+    for coupled charts)."""
+    return _radial_bound(space, p, q, upper=True)
+
+
 def lower_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
-    """Cheap rigorous lower bound from per-factor radial projections."""
+    """Cheap lower bound from per-factor radial projections.
+
+    Rigorous on uncoupled charts.  On a b3-coupled chart it assumes
+    ``h_k - n_c b3_k^2 xi^6 > 0`` on the levels between the endpoints
+    (see :func:`_radial_bound`); with one coupled horn that is exactly
+    where the metric is positive definite.
+    """
+    return _radial_bound(space, p, q, upper=False)
+
+
+def _radial_bound(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
+                  upper: bool) -> float:
+    """Product of per-factor terms: exact Euclidean and hyperbolic
+    distances, and for a horn block ``H(xi_p) + H(xi_q)`` (upper: through
+    the axis) or ``|H(xi_p) - H(xi_q)|`` (lower: radial projection).
+
+    On a b3-coupled chart, ``y = x_e + sum_k b3_k xi_k^4 / 4`` on the first
+    Euclidean coordinate ``x_e`` turns the metric into
+    ``sum_k (f_k dtheta_k^2 + h_k dxi_k^2) - (sum_k b3_k xi_k^3 dxi_k)^2
+    + dy^2`` plus the other factors, so ``x_e`` enters through ``Delta y``.
+    Dropping the squared term only lengthens curves, which keeps the upper
+    bound.  By Cauchy-Schwarz over the ``n_c`` coupled horns that term is
+    at most ``n_c sum_k b3_k^2 xi_k^6 dxi_k^2``, so the lower bound's
+    radial terms integrate ``sqrt(h_k - n_c b3_k^2 xi^6)`` between levels.
+    """
+    def level(blk):
+        return 0.0 if isinstance(blk, BoundaryPoint) else blk.xi
+
+    coupled = [i for i, f in enumerate(space.factors)
+               if isinstance(f, PerturbedHorn) and f.b3 > 0]
+    eu = next((i for i, f in enumerate(space.factors) if isinstance(f, Euclidean)), None)
     total = 0.0
     for i, factor in enumerate(space.factors):
         a, b = p.blocks[i], q.blocks[i]
         if isinstance(factor, Euclidean):
-            total += math.dist(a, b) ** 2
+            if coupled and i == eu:
+                dy = a[0] - b[0] + sum(
+                    space.factors[k].b3 * (level(p.blocks[k]) ** 4 - level(q.blocks[k]) ** 4)
+                    for k in coupled) / 4.0
+                d = math.hypot(dy, math.dist(a[1:], b[1:]))
+            else:
+                d = math.dist(a, b)
         elif isinstance(factor, HyperbolicPlane):
-            total += _hyp_distance(a, b) ** 2
+            d = _hyp_distance(a, b)
         else:
             prof = warp_profile(factor)
             H, _ = _radial_primitive(prof)
-            ha = 0.0 if isinstance(a, BoundaryPoint) else H(a.xi)
-            hb = 0.0 if isinstance(b, BoundaryPoint) else H(b.xi)
-            total += (ha - hb) ** 2
+            if upper:
+                d = H(level(a)) + H(level(b))
+            elif i in coupled:
+                c = len(coupled) * factor.b3**2
+                d = _level_length(lambda t: prof.h(t) - c * t**6, level(a), level(b))
+            else:
+                d = abs(H(level(a)) - H(level(b)))
+        total += d * d
     return math.sqrt(total)
+
+
+def _level_length(h, a: float, b: float) -> float:
+    """Integral of ``sqrt(h)`` between levels a and b (64-node Gauss-Legendre)."""
+    base, ws = _gl(64)
+    t = a + (b - a) * base
+    return abs(b - a) * float(np.sum(ws * np.sqrt(np.maximum(h(t), 0.0))))

@@ -28,7 +28,7 @@ from .spaces import (
     point_from_chart,
     tangent_chart_vector,
 )
-from .tensors import _christoffel_fd, metric_at_chart, warp_profile
+from .tensors import metric_at_chart, metric_batch, metric_grad_batch, warp_profile
 
 # Dormand-Prince 5(4) tableau
 _A = (
@@ -50,15 +50,15 @@ _ERR = _B5 - _B4
 def acceleration_fn(space: SpaceSpec):
     """Return ``accel(x, v)`` for the geodesic equation of the chart metric.
 
-    Exact per-factor formulas where the metric block is closed form; the
-    coupled chart contracts finite-difference connection coefficients.
+    Uncoupled charts sum exact per-factor formulas.  A coupled chart
+    solves ``g a = -w`` with ``w_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j``
+    from the exact metric gradient, which is ``a = -Gamma(v, v)``.
     """
     if space.coupled:
-        metric_fn = lambda y: metric_at_chart(space, y)
 
         def accel_coupled(x, v):
-            gamma = _christoffel_fd(metric_fn, x)
-            return -np.einsum("kij,i,j->k", gamma, v, v)
+            T = metric_grad_batch(space, x) @ v  # T[l, i] = d_l g_ij v^j
+            return -np.linalg.solve(metric_batch(space, x), v @ T - 0.5 * (T @ v))
 
         return accel_coupled
 

@@ -339,7 +339,7 @@ def _wire_parser(parse):
     def checked(*args, **kwargs):
         try:
             return parse(*args, **kwargs)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ValueError(
                 f"{parse.__name__}: missing or ill-typed field ({type(exc).__name__}: {exc})"
             ) from None

@@ -2,13 +2,16 @@
 
 The metric is block diagonal across factors except for the optional
 ``b3 xi^3`` coupling of a perturbed horn's radial direction to the first
-Euclidean coordinate.  Connection coefficients are exact closed forms for
-horn, hyperbolic and Euclidean blocks; perturbed horns (and coupled
-charts) fall back to central finite differences of the metric with one
-Richardson step.
+Euclidean coordinate.  Every coefficient is a closed form in the chart
+coordinates, and so is its coordinate gradient: :func:`metric_batch` and
+:func:`metric_grad_batch` evaluate both over rows of chart points, and
+the connection coefficients are built from that exact gradient for every
+factor kind, coupled charts included.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,9 +25,8 @@ from .spaces import (
     PerturbedHorn,
     SpaceSpec,
     chart_vector,
+    is_horn_like,
 )
-
-_FD_STEP = 1e-6
 
 
 def _require_interior(point: CompletionPoint) -> None:
@@ -117,27 +119,70 @@ def metric_tensor(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
 
 
 def metric_at_chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
-    n = space.dim
-    g = np.zeros((n, n))
-    slices = space.chart_slices()
-    eu_off = space.first_euclidean_offset()
-    for factor, sl in zip(space.factors, slices):
+    """Chart metric at one chart point; shape (d, d)."""
+    return metric_batch(space, np.asarray(x, dtype=float))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(space: SpaceSpec):
+    """``(dim, first Euclidean offset, ((factor, chart offset, warp profile
+    or None), ...))``, built once per space for the metric evaluators."""
+    blocks = tuple((f, sl.start, warp_profile(f) if is_horn_like(f) else None)
+                   for f, sl in zip(space.factors, space.chart_slices()))
+    return space.dim, space.first_euclidean_offset(), blocks
+
+
+def metric_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Chart metric at the chart points X, one per row; shape (n, d, d).
+
+    A single chart point (1-D ``X``) gives one (d, d) matrix, evaluated in
+    scalar arithmetic.
+    """
+    d, eu_off, blocks = _layout(space)
+    G = np.zeros(X.shape[:-1] + (d, d))
+    for factor, k, prof in blocks:
         if isinstance(factor, Euclidean):
-            g[sl, sl] = np.eye(factor.dim)
+            for j in range(k, k + factor.dim):
+                G[..., j, j] = 1.0
         elif isinstance(factor, HyperbolicPlane):
-            y = x[sl.start + 1]
-            g[sl.start, sl.start] = 1.0 / y**2
-            g[sl.start + 1, sl.start + 1] = 1.0 / y**2
+            inv = 1.0 / X.T[k + 1] ** 2
+            G[..., k, k] = inv
+            G[..., k + 1, k + 1] = inv
         else:
-            prof = warp_profile(factor)
-            xi = x[sl.start + 1]
-            g[sl.start, sl.start] = prof.f(xi)
-            g[sl.start + 1, sl.start + 1] = prof.h(xi)
+            xi = X.T[k + 1]
+            G[..., k, k] = prof.f(xi)
+            G[..., k + 1, k + 1] = prof.h(xi)
             if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
                 cross = factor.b3 * xi**3
-                g[sl.start + 1, eu_off] = cross
-                g[eu_off, sl.start + 1] = cross
-    return g
+                G[..., k + 1, eu_off] = cross
+                G[..., eu_off, k + 1] = cross
+    return G
+
+
+def metric_grad_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Coordinate gradient of the chart metric at the chart points X.
+
+    Shape (n, d, d, d), or (d, d, d) for one point: entry [..., l, i, j]
+    is the derivative of g_ij along chart coordinate l.
+    """
+    d, eu_off, blocks = _layout(space)
+    dG = np.zeros(X.shape[:-1] + (d, d, d))
+    for factor, k, prof in blocks:
+        if isinstance(factor, Euclidean):
+            continue
+        if isinstance(factor, HyperbolicPlane):
+            dv = -2.0 / X.T[k + 1] ** 3
+            dG[..., k + 1, k, k] = dv
+            dG[..., k + 1, k + 1, k + 1] = dv
+        else:
+            xi = X.T[k + 1]
+            dG[..., k + 1, k, k] = prof.fp(xi)
+            dG[..., k + 1, k + 1, k + 1] = prof.hp(xi)
+            if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
+                cross = 3.0 * factor.b3 * xi**2
+                dG[..., k + 1, k + 1, eu_off] = cross
+                dG[..., k + 1, eu_off, k + 1] = cross
+    return dG
 
 
 # ---------------------------------------------------------------------------
@@ -145,61 +190,18 @@ def metric_at_chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 
 def christoffel(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma[k, i, j]`` in chart coordinates."""
+    """Levi-Civita coefficients ``Gamma[k, i, j]`` in chart coordinates.
+
+    ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)`` from the
+    exact metric gradient, with the index raised by a linear solve.
+    """
     _require_interior(point)
     x = chart_vector(space, point)
-    if space.coupled:
-        return _christoffel_fd(lambda v: metric_at_chart(space, v), x)
+    g = metric_batch(space, x)
+    dg = metric_grad_batch(space, x)  # dg[l, i, j] = d_l g_ij
     n = space.dim
-    gamma = np.zeros((n, n, n))
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        k = sl.start
-        if isinstance(factor, Euclidean):
-            continue
-        if isinstance(factor, HyperbolicPlane):
-            y = x[k + 1]
-            gamma[k, k, k + 1] = gamma[k, k + 1, k] = -1.0 / y
-            gamma[k + 1, k, k] = 1.0 / y
-            gamma[k + 1, k + 1, k + 1] = -1.0 / y
-        elif isinstance(factor, Horn):
-            xi = x[k + 1]
-            gamma[k, k, k + 1] = gamma[k, k + 1, k] = 3.0 / xi
-            gamma[k + 1, k, k] = -0.75 * xi**5
-        else:  # PerturbedHorn, diagonal: finite differences per contract
-            prof = warp_profile(factor)
-            block = _christoffel_fd(
-                lambda v: np.diag([prof.f(v[1]), prof.h(v[1])]), x[sl]
-            )
-            gamma[sl, sl, sl] = block
-    return gamma
-
-
-def _metric_partials(metric_fn, x: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
-    """Central differences with one Richardson step: dg[l, i, j]."""
-    n = len(x)
-    out = np.empty((n,) + metric_fn(x).shape)
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = 1.0
-        d1 = (metric_fn(x + step * e) - metric_fn(x - step * e)) / (2 * step)
-        hh = step / 2
-        d2 = (metric_fn(x + hh * e) - metric_fn(x - hh * e)) / (2 * hh)
-        out[l] = (4.0 * d2 - d1) / 3.0
-    return out
-
-
-def _christoffel_fd(metric_fn, x: np.ndarray) -> np.ndarray:
-    g = metric_fn(x)
-    ginv = np.linalg.inv(g)
-    dg = _metric_partials(metric_fn, x)  # dg[l, i, j] = d_l g_ij
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    n = len(x)
-    T = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                T[i, j, l] = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    first = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)  # [i, j, l]
+    return 0.5 * np.linalg.solve(g, first.reshape(n * n, n).T).reshape(n, n, n)
 
 
 # ---------------------------------------------------------------------------

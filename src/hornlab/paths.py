@@ -31,6 +31,7 @@ from .geometry import (
     midpoint,
     points_equal,
 )
+from .geometry.spaces import _wire_parser
 
 
 @dataclass(frozen=True)
@@ -324,6 +325,7 @@ def path_to_csv(path: DiscretePath) -> str:
     return buf.getvalue()
 
 
+@_wire_parser
 def path_from_csv(space: SpaceSpec, text: str, periodic_shift=None) -> DiscretePath:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != _csv_header(space):

@@ -112,3 +112,19 @@ def test_experiment_runner(tmp_path, capsys):
     assert rep["passed"] is True
     assert "runtime" not in rep  # byte-deterministic artifact
     assert (tmp_path / "c" / "corners_samples.csv").exists()
+
+
+@pytest.mark.parametrize("iso", [
+    "{}",  # no factor_actions
+    '{"factor_actions":[{"kind":"mobius"}]}',  # no matrix
+    '{"factor_actions":[{"kind":"mobius","m":[[1,2]]}]}',  # one-row matrix
+])
+def test_malformed_isometry_exits_usage(iso):
+    assert main(["classify", "--space", HYP_SPACE, "--iso", iso]) == 3
+
+
+def test_short_csv_row_exits_usage(tmp_path):
+    path_file = tmp_path / "path.csv"
+    path_file.write_text("x,f0_theta,f0_xi,f0_boundary\n0.0,0.1,0.5,0\n1.0,0.2\n")
+    assert main(["relax", "--space", HORN_SPACE, "--path", str(path_file),
+                 "--out", str(tmp_path)]) == 3

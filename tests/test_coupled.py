@@ -1,0 +1,133 @@
+"""b3-coupled charts: an exact product oracle, distance bounds, the exact
+connection and the banded curve-shortening step.
+
+With one coupled horn, ``y = x + b3 xi^4 / 4`` on the Euclidean coordinate
+turns ``f dtheta^2 + h dxi^2 + 2 b3 xi^3 dxi dx + dx^2`` into the product
+``f dtheta^2 + (h - b3^2 xi^6) dxi^2`` times the ``y`` line, so distances
+follow from the first-integral solver on the reduced warp.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hornlab.errors import DistanceIntervalError
+from hornlab.geometry import (
+    Euclidean,
+    PerturbedHorn,
+    SpaceSpec,
+    WarpProfile,
+    acceleration_fn,
+    chart_vector,
+    christoffel,
+    distance,
+    lower_bound_distance,
+    make_point,
+    upper_bound_distance,
+)
+from hornlab.geometry.connect import _block_tridiagonal_solve, _WarpedPath
+from hornlab.geometry.spaces import HornPoint
+
+COUPLED = SpaceSpec((PerturbedHorn(B=1.0, a4=0.1, b3=0.2), Euclidean(1)))
+UNDERFLOW = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
+UNDERFLOW_P = [(0.7148085531751387, 0.14718925640407762), (0.45931089285988813,)]
+UNDERFLOW_Q = [(-0.648688758794882, 1.1711044827554205), (0.08292244049818343,)]
+
+
+class ReducedProfile(WarpProfile):
+    """``f dtheta^2 + (h - b3^2 xi^6) dxi^2`` of a coupled perturbed horn.
+
+    ``a4`` is set nonzero only to send the branch integrals down the
+    quadrature route, which evaluates ``h`` pointwise; the coefficient
+    itself uses the factor's own ``a4``.
+    """
+
+    def __init__(self, factor: PerturbedHorn):
+        super().__init__(B=factor.B, a4=1.0, c6=factor.c6)
+        self._a4 = factor.a4
+        self._b3 = factor.b3
+
+    def h(self, xi):
+        return 4.0 * self.B * (1.0 + self._a4 * xi**4) - self._b3**2 * xi**6
+
+
+def oracle_distance(space, p_blocks, q_blocks):
+    factor = space.factors[0]
+    (th_p, xi_p), (x_p,) = p_blocks
+    (th_q, xi_q), (x_q,) = q_blocks
+    warp = _WarpedPath(ReducedProfile(factor), HornPoint(th_p, xi_p), HornPoint(th_q, xi_q))
+    dy = (x_q + factor.b3 * xi_q**4 / 4.0) - (x_p + factor.b3 * xi_p**4 / 4.0)
+    return math.hypot(warp.length, dy)
+
+
+def _seeded_pairs(count, seed=11):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield tuple([(rng.uniform(-0.6, 0.6), rng.uniform(0.3, 1.2)), (rng.uniform(-0.6, 0.6),)]
+                    for _ in range(2))
+
+
+@pytest.mark.parametrize("pair", list(_seeded_pairs(4)))
+def test_coupled_distance_matches_product_oracle(pair):
+    p_blocks, q_blocks = pair
+    p, q = make_point(COUPLED, p_blocks), make_point(COUPLED, q_blocks)
+    want = oracle_distance(COUPLED, p_blocks, q_blocks)
+    assert distance(COUPLED, p, q) == pytest.approx(want, rel=1e-8)
+
+
+def test_underflow_pair_interval_contains_oracle():
+    p, q = make_point(UNDERFLOW, UNDERFLOW_P), make_point(UNDERFLOW, UNDERFLOW_Q)
+    truth = oracle_distance(UNDERFLOW, UNDERFLOW_P, UNDERFLOW_Q)
+    assert truth == pytest.approx(2.051746, abs=1e-6)
+    with pytest.raises(DistanceIntervalError) as exc:
+        distance(UNDERFLOW, p, q)
+    assert exc.value.lower <= truth <= exc.value.upper
+
+
+def test_coupled_bounds_contain_distance():
+    # the product bounds overshot the true distance on this pair
+    p_blocks = [(0.78342214089, 0.82664664590), (-0.05738066964,)]
+    q_blocks = [(0.54655401930, 0.32731140690), (0.41393019131,)]
+    p, q = make_point(COUPLED, p_blocks), make_point(COUPLED, q_blocks)
+    d = distance(COUPLED, p, q)
+    assert d == pytest.approx(oracle_distance(COUPLED, p_blocks, q_blocks), rel=1e-8)
+    assert lower_bound_distance(COUPLED, p, q) <= d <= upper_bound_distance(COUPLED, p, q)
+
+
+def test_coupled_acceleration_is_minus_gamma_vv():
+    accel = acceleration_fn(COUPLED)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        p = make_point(COUPLED, [(rng.uniform(-1, 1), rng.uniform(0.3, 1.5)),
+                                 (rng.uniform(-1, 1),)])
+        v = rng.normal(size=3)
+        gamma = christoffel(COUPLED, p)
+        want = -np.einsum("kij,i,j->k", gamma, v, v)
+        got = accel(chart_vector(COUPLED, p), v)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 17])
+def test_banded_block_tridiagonal_solve_matches_dense(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    # symmetric block rows made positive definite by diagonal dominance
+    C = rng.normal(size=(m, d, d))
+    C[-1] = 0.0
+    A = np.concatenate([np.zeros((1, d, d)), C[:-1].transpose(0, 2, 1)])
+    S = rng.normal(size=(m, d, d))
+    B = S @ S.transpose(0, 2, 1) + 4.0 * d * np.eye(d)
+    M = np.zeros((m * d, m * d))
+    for i in range(m):
+        rows = slice(i * d, (i + 1) * d)
+        M[rows, rows] = B[i]
+        if i + 1 < m:
+            M[rows, (i + 1) * d:(i + 2) * d] = C[i]
+            M[(i + 1) * d:(i + 2) * d, rows] = C[i].T
+    assert np.all(np.linalg.eigvalsh(M) > 0)
+    R = rng.normal(size=(m, d))
+    got = _block_tridiagonal_solve(A, B, C, R)
+    want = np.linalg.solve(M, R.ravel())
+    assert np.linalg.norm(M @ got.ravel() - R.ravel()) <= 1e-12 * np.linalg.norm(R)
+    assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)

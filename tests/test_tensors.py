@@ -168,3 +168,20 @@ def test_perturbed_curvature_matches_symbolic():
     for xiv in (0.4, 0.9):
         got = curvature(space, make_point(space, [(0.0, xiv)]), 0)
         assert got == pytest.approx(float(K.subs(xi, xiv)), rel=1e-10)
+
+
+def test_coupled_christoffel_against_symbolic_oracle():
+    B, a4, b3, c6 = 1.5, 0.2, 0.3, 0.1
+    space = SpaceSpec((PerturbedHorn(B=B, a4=a4, b3=b3, c6=c6), Euclidean(1)))
+    th, xi, x = sympy.symbols("theta xi x", positive=True)
+    f = B * xi**6 * (1 + c6 * xi**6)
+    h = 4 * B * (1 + a4 * xi**4)
+    gamma = symbolic_christoffel([[f, 0, 0], [0, h, b3 * xi**3], [0, b3 * xi**3, 1]],
+                                 (th, xi, x))
+    for xiv in (0.4, 0.9):
+        got = christoffel(space, make_point(space, [(0.3, xiv), (-0.2,)]))
+        for k in range(3):
+            for i in range(3):
+                for j in range(3):
+                    want = float(gamma[k][i][j].subs(xi, xiv))
+                    assert got[k, i, j] == pytest.approx(want, abs=1e-12)
