@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -30,17 +31,15 @@ from .geometry import (
     BoundaryPoint,
     CompletionPoint,
     Euclidean,
-    Horn,
     HornPoint,
     HyperbolicPlane,
     SpaceSpec,
     distance,
-    is_horn_like,
     make_point,
     metric_tensor,
     point_along,
 )
-from .geometry.spaces import _wire_parser
+from .geometry.spaces import _wire_int, _wire_parser
 from .paths import DiscretePath, heat_flow, refine_flow
 
 #: Translation lengths below this count as zero for classification.
@@ -61,6 +60,12 @@ class HornAction:
 
     a: float = 0.0
     reflect: bool = False
+
+    dim = 2
+
+    @classmethod
+    def identity(cls, dim: int) -> "HornAction":
+        return cls()
 
     def apply_block(self, block):
         if isinstance(block, BoundaryPoint):
@@ -87,13 +92,21 @@ class MobiusAction:
 
     m: tuple[tuple[float, float], tuple[float, float]]
 
+    dim = 2
+
     def __init__(self, m):
         m = np.asarray(m, dtype=float)
+        if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+            raise ValueError("Moebius action needs a finite 2x2 matrix")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det <= 0:
-            raise ValueError("Moebius matrix needs positive determinant")
+        if not 0 < det < math.inf:
+            raise ValueError("Moebius matrix needs a finite positive determinant")
         m = m / math.sqrt(det)
         object.__setattr__(self, "m", ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1])))
+
+    @classmethod
+    def identity(cls, dim: int) -> "MobiusAction":
+        return cls(((1.0, 0.0), (0.0, 1.0)))
 
     @property
     def trace(self) -> float:
@@ -140,6 +153,14 @@ class EuclideanAction:
         object.__setattr__(self, "Q", tuple(map(tuple, Q)))
         object.__setattr__(self, "t", tuple(t))
 
+    @property
+    def dim(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def identity(cls, dim: int) -> "EuclideanAction":
+        return cls(np.eye(dim), np.zeros(dim))
+
     def apply_block(self, block):
         Q = np.array(self.Q)
         return tuple(Q @ np.asarray(block) + np.asarray(self.t))
@@ -157,14 +178,46 @@ class EuclideanAction:
         return EuclideanAction(Q.T, -Q.T @ t)
 
 
-def _action_matches(factor, action) -> bool:
-    if is_horn_like(factor):
-        return isinstance(action, HornAction)
-    if isinstance(factor, HyperbolicPlane):
-        return isinstance(action, MobiusAction)
+@dataclass(frozen=True)
+class _Kind:
+    """What the group structure and the search chart need of a factor kind.
+
+    ``level`` maps the log-scaled second coordinate of a 2-D block back to
+    its level with clamps that keep every downstream power and product
+    inside double range, ``draw`` is the range of that log coordinate in
+    random points and ``inside`` tells a level strictly inside the clamps.
+    Flat blocks have no log coordinate (``level`` is None).
+    """
+
+    action: type
+    level: Callable[[float], float] | None = None
+    draw: tuple[float, float] = (0.0, 0.0)
+    inside: Callable[[float], bool] | None = None
+
+
+_HORN_KIND = _Kind(HornAction, lambda u: max(math.exp(min(u, 30.0)), XI_SNAP), (-2.5, 0.7),
+                   lambda xi: XI_ATTAIN <= xi < math.exp(29.5))
+_HYP_KIND = _Kind(MobiusAction, lambda u: math.exp(min(max(u, -80.0), 80.0)), (-1.5, 1.5),
+                  lambda y: abs(math.log(y)) < 59.0)
+_FLAT_KIND = _Kind(EuclideanAction)
+
+
+def _kind(factor) -> _Kind:
+    """The action type and search-chart facts of a factor."""
     if isinstance(factor, Euclidean):
-        return isinstance(action, EuclideanAction) and len(action.t) == factor.dim
-    return False
+        return _FLAT_KIND
+    if isinstance(factor, HyperbolicPlane):
+        return _HYP_KIND
+    return _HORN_KIND
+
+
+def _action_matches(factor, action) -> bool:
+    return isinstance(action, _kind(factor).action) and action.dim == factor.dim
+
+
+def _pair(block):
+    """Coordinates of an interior 2-D block, horn or hyperbolic."""
+    return (block.theta, block.xi) if isinstance(block, HornPoint) else block
 
 
 @dataclass(frozen=True)
@@ -221,9 +274,7 @@ class Isometry:
         slices = self.space.chart_slices()
         out = np.zeros_like(vec)
         for i, (action, sl) in enumerate(zip(self.actions, slices)):
-            blk = p.blocks[i]
-            b = (blk.theta, blk.xi) if isinstance(blk, HornPoint) else blk
-            dv = action.apply_tangent(b, tuple(vec[sl]))
+            dv = action.apply_tangent(_pair(p.blocks[i]), tuple(vec[sl]))
             out[slices[self.permutation[i]]] = dv
         return out
 
@@ -231,13 +282,8 @@ class Isometry:
         raw = [None] * len(self.space.factors)
         for i, action in enumerate(self.actions):
             blk = point.blocks[i]
-            if isinstance(blk, BoundaryPoint):
-                moved = None
-            elif isinstance(blk, HornPoint):
-                moved = action.apply_block(blk)
-            else:
-                moved = action.apply_block(blk)
-            raw[self.permutation[i]] = moved
+            raw[self.permutation[i]] = (
+                None if isinstance(blk, BoundaryPoint) else action.apply_block(blk))
         return make_point(self.space, raw)
 
     def compose(self, other: "Isometry") -> "Isometry":
@@ -272,15 +318,8 @@ class Isometry:
 
 
 def identity(space: SpaceSpec) -> Isometry:
-    actions = []
-    for f in space.factors:
-        if is_horn_like(f):
-            actions.append(HornAction())
-        elif isinstance(f, HyperbolicPlane):
-            actions.append(MobiusAction(((1.0, 0.0), (0.0, 1.0))))
-        else:
-            actions.append(EuclideanAction(np.eye(f.dim), np.zeros(f.dim)))
-    return Isometry(space, tuple(actions), validate=False)
+    actions = tuple(_kind(f).action.identity(f.dim) for f in space.factors)
+    return Isometry(space, actions, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +359,9 @@ def isometry_from_json(space: SpaceSpec, doc) -> Isometry:
         else:
             raise ValueError(f"unknown action kind {kind!r}")
     perm = doc.get("permutation")
-    return Isometry(space, tuple(actions), tuple(perm) if perm else None)
+    if perm:
+        perm = tuple(_wire_int(i, "permutation entry") for i in perm)
+    return Isometry(space, tuple(actions), perm or None)
 
 
 # ---------------------------------------------------------------------------
@@ -337,63 +378,42 @@ def random_point(space: SpaceSpec, rng: np.random.Generator, box: float = 2.0
     """Random interior point with coordinates on a moderate scale."""
     blocks = []
     for f in space.factors:
-        if is_horn_like(f):
-            blocks.append((rng.uniform(-box, box), math.exp(rng.uniform(-2.5, 0.7))))
-        elif isinstance(f, HyperbolicPlane):
-            blocks.append((rng.uniform(-box, box), math.exp(rng.uniform(-1.5, 1.5))))
-        else:
+        kind = _kind(f)
+        if kind.level is None:
             blocks.append(tuple(rng.uniform(-box, box, f.dim)))
+        else:
+            blocks.append((rng.uniform(-box, box), math.exp(rng.uniform(*kind.draw))))
     return make_point(space, blocks)
 
 
 def base_point(space: SpaceSpec) -> CompletionPoint:
-    blocks = []
-    for f in space.factors:
-        if is_horn_like(f) or isinstance(f, HyperbolicPlane):
-            blocks.append((0.0, 1.0))
-        else:
-            blocks.append((0.0,) * f.dim)
-    return make_point(space, blocks)
+    return make_point(space, [(0.0,) * f.dim if _kind(f).level is None else (0.0, 1.0)
+                              for f in space.factors])
 
 
-# optimization runs in a transformed chart: horn and hyperbolic second
-# coordinates go through log so boundary escape shows up as a coordinate
-# running to -infinity
-
-
-def _opt_dim(space: SpaceSpec) -> int:
-    return space.dim
+# optimization runs in a transformed chart of the same layout: horn and
+# hyperbolic second coordinates go through log so boundary escape shows
+# up as a coordinate running to -infinity
 
 
 def _to_opt(space: SpaceSpec, p: CompletionPoint) -> np.ndarray:
     u = []
     for f, b in zip(space.factors, p.blocks):
-        if is_horn_like(f):
-            u += [b.theta, math.log(b.xi)]
-        elif isinstance(f, HyperbolicPlane):
-            u += [b[0], math.log(b[1])]
-        else:
+        if _kind(f).level is None:
             u += list(b)
+        else:
+            x, s = _pair(b)
+            u += [x, math.log(s)]
     return np.array(u)
 
 
 def _from_opt(space: SpaceSpec, u: np.ndarray) -> CompletionPoint:
-    # log coordinates clamp to ranges that keep every downstream power
-    # and product inside double range
     blocks = []
     k = 0
     for f in space.factors:
-        if is_horn_like(f):
-            xi = max(math.exp(min(u[k + 1], 30.0)), XI_SNAP)
-            blocks.append((u[k], xi))
-            k += 2
-        elif isinstance(f, HyperbolicPlane):
-            y = math.exp(min(max(u[k + 1], -80.0), 80.0))
-            blocks.append((u[k], y))
-            k += 2
-        else:
-            blocks.append(tuple(u[k:k + f.dim]))
-            k += f.dim
+        level = _kind(f).level
+        blocks.append(tuple(u[k:k + f.dim]) if level is None else (u[k], level(u[k + 1])))
+        k += f.dim
     return make_point(space, blocks)
 
 
@@ -444,10 +464,9 @@ def _is_interior_candidate(space: SpaceSpec, u: np.ndarray) -> bool:
     p = _from_opt(space, u)
     if p.stratum():
         return False
-    for blk, f in zip(p.blocks, space.factors):
-        if isinstance(blk, HornPoint) and not (XI_ATTAIN <= blk.xi < math.exp(29.5)):
-            return False
-        if isinstance(f, HyperbolicPlane) and abs(math.log(blk[1])) >= 59.0:
+    for f, blk in zip(space.factors, p.blocks):
+        inside = _kind(f).inside
+        if inside is not None and not inside(_pair(blk)[1]):
             return False
     return True
 
@@ -459,7 +478,7 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     exist; returns (point, displacement) or None.
     """
     space = iso.space
-    d = _opt_dim(space)
+    d = space.dim
 
     def residual(u):
         p = _from_opt(space, u)
@@ -536,7 +555,7 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
             status="ok", evaluations=evals,
         )
 
-    d = _opt_dim(space)
+    d = space.dim
     starts = [_to_opt(space, base_point(space))]
     for s in range(budget.starts - 1):
         j = s % (budget.box_levels + 1)
@@ -572,16 +591,7 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     if int_u is not None and int_val > best_val + max(budget.improve_tol, 1e-6 * best_val):
         int_u, int_val = None, math.inf
 
-    horn_log_slots = []
-    slot_kinds = []
-    for f in space.factors:
-        if is_horn_like(f):
-            slot_kinds += ["horn_theta", "horn_log"]
-        elif isinstance(f, HyperbolicPlane):
-            slot_kinds += ["hyp_x", "hyp_log"]
-        else:
-            slot_kinds += ["euclid"] * f.dim
-    horn_log_slots = [k for k, kind in enumerate(slot_kinds) if kind == "horn_log"]
+    horn_log_slots = space.xi_offsets  # the opt chart keeps the chart layout
 
     def horn_part(u: np.ndarray) -> float:
         p = _from_opt(space, u)
@@ -676,8 +686,8 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     # rays to infinity: every direction except driving a horn level down,
     # which the collapse probe owns
     inf_val, inf_seq = math.inf, None
-    for slot, kind in enumerate(slot_kinds):
-        signs = (1.0,) if kind == "horn_log" else (1.0, -1.0)
+    for slot in range(d):
+        signs = (1.0,) if slot in horn_log_slots else (1.0, -1.0)
         for sgn in signs:
             hit = infinity_probe(slot, sgn)
             if hit is not None and hit[1][-1] < inf_val:
@@ -1051,7 +1061,7 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
             raise ValueError("generators live on different spaces")
     p0 = base if base is not None else base_point(space)
     rng = np.random.default_rng(seed)
-    d = _opt_dim(space)
+    d = space.dim
 
     def delta(point: CompletionPoint) -> float:
         return max(displacement(g, point) for g in generators)

@@ -56,6 +56,7 @@ from .paths import (
     heat_flow,
     path_from_csv,
     path_to_csv,
+    samples_to_csv,
 )
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
@@ -63,11 +64,11 @@ PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
 
 def _load_json_arg(value: str):
     """Accept a file path or an inline JSON document."""
-    text = value
-    p = Path(value)
-    if p.exists():
-        text = p.read_text()
-    return json.loads(text)
+    try:
+        is_path = Path(value).exists()
+    except OSError:  # e.g. longer than a file name may be: inline
+        is_path = False
+    return json.loads(Path(value).read_text() if is_path else value)
 
 
 def _load_space(value: str) -> SpaceSpec:
@@ -87,30 +88,6 @@ def _emit(doc: dict, out: Path | None, name: str) -> None:
     if out is not None:
         (out / name).write_text(text)
     sys.stdout.write(text)
-
-
-def _segment_rows(space, seg):
-    from .geometry import BoundaryPoint, is_horn_like
-
-    header = ["x"]
-    for i, factor in enumerate(space.factors):
-        if is_horn_like(factor):
-            header += [f"f{i}_theta", f"f{i}_xi", f"f{i}_boundary"]
-        else:
-            header += [f"f{i}_c{j}" for j in range(factor.dim)]
-    rows = []
-    for x, pt in seg.samples:
-        row = [float(x)]
-        for factor, blk in zip(space.factors, pt.blocks):
-            if is_horn_like(factor):
-                if isinstance(blk, BoundaryPoint):
-                    row += ["", "", 1]
-                else:
-                    row += [blk.theta, blk.xi, 0]
-            else:
-                row += list(blk)
-        rows.append(tuple(row))
-    return header, rows
 
 
 def cmd_tensor(args) -> int:
@@ -134,8 +111,7 @@ def cmd_geodesic(args) -> int:
         q = point_from_json(space, _load_json_arg(args.to))
         seg = geodesic_connect(space, p, q, samples=args.samples)
     if out is not None:
-        header, rows = _segment_rows(space, seg)
-        _write_csv(out / "segment.csv", header, rows)
+        (out / "segment.csv").write_text(samples_to_csv(space, seg.samples))
     _emit({
         "length": seg.length,
         "hit_stratum": seg.hit_stratum,
@@ -235,12 +211,20 @@ _PAIR_NAMES = {
 }
 
 
+def _pair_model(name: str) -> DifferentialModel:
+    try:
+        return _PAIR_NAMES[name.strip()]
+    except KeyError:
+        raise ValueError(f"unknown pairing model {name.strip()!r}; "
+                         f"expected one of {', '.join(_PAIR_NAMES)}") from None
+
+
 def cmd_masur(args) -> int:
     ts = list(np.geomspace(args.tmax, args.tmin, args.num))
     pairs = []
     for token in args.pairs.split(";"):
         i_name, j_name = token.split(",")
-        pairs.append((_PAIR_NAMES[i_name.strip()], _PAIR_NAMES[j_name.strip()]))
+        pairs.append((_pair_model(i_name), _pair_model(j_name)))
     columns = {f"pairing_{i.value}_{j.value}": [] for i, j in pairs}
     for t in ts:
         spec = AnnulusSpec(t=t, n_r=args.n_r, n_phi=args.n_phi)

@@ -54,7 +54,7 @@ from .geometry import (
     make_point,
     space_to_json,
 )
-from .paths import equivariant_seed
+from .paths import equivariant_seed, point_cells
 
 EXPERIMENT_NAMES = ("interior", "corners", "table1", "diverge", "proper", "masur", "expansion")
 
@@ -247,13 +247,7 @@ def run_interior(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for x, pt in seg2.samples:
-            blk = pt.blocks[0]
-            if pt.stratum():
-                rows.append((x, "", "", 1, pt.blocks[1][0]))
-            else:
-                rows.append((x, blk.theta, blk.xi, 0, pt.blocks[1][0]))
+        rows = [(x, *point_cells(prod, pt)) for x, pt in seg2.samples]
         _write_csv(out / "interior_samples.csv",
                    ["x", "theta", "xi", "boundary", "e0"], rows)
         _write_csv(out / "interior_margins.csv", ["e_clamp", "margin"], margins)
@@ -307,13 +301,7 @@ def run_corners(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for x, pt in seg.samples:
-            b0, b1 = pt.blocks
-            r = [x]
-            r += ["", "", 1] if 0 in pt.stratum() else [b0.theta, b0.xi, 0]
-            r += ["", "", 1] if 1 in pt.stratum() else [b1.theta, b1.xi, 0]
-            rows.append(tuple(r))
+        rows = [(x, *point_cells(space, pt)) for x, pt in seg.samples]
         _write_csv(out / "corners_samples.csv",
                    ["x", "theta0", "xi0", "boundary0", "theta1", "xi1", "boundary1"],
                    rows)

@@ -3,7 +3,10 @@
 The product structure does the heavy lifting: a curve in a metric product
 is a geodesic exactly when every factor projection is one, run at its own
 constant speed, so the solver works factor by factor and combines lengths
-in quadrature.  Factor solvers:
+in quadrature.  One function, ``_solver``, picks a factor's exact solver
+(its path, its distance and its radial bound term); ``PathBundle``,
+``factor_distances`` (and through it ``distance``) and the distance
+bounds all go through it.  Factor solvers:
 
 * Euclidean: straight lines.
 * Hyperbolic plane: vertical lines and circular arcs, with arclength
@@ -30,7 +33,7 @@ about 1e-12; see the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -46,24 +49,18 @@ from .spaces import (
     Euclidean,
     HornPoint,
     HyperbolicPlane,
-    PerturbedHorn,
     SpaceSpec,
     TangentVector,
+    WarpProfile,
     chart_vector,
-    is_horn_like,
     make_point,
+    point_from_chart,
     point_key,
     points_equal,
     tangent_from_chart,
 )
 from .shoot import GeodesicSegment, geodesic_shoot
-from .tensors import (
-    WarpProfile,
-    metric_at_chart,
-    metric_batch,
-    metric_grad_batch,
-    warp_profile,
-)
+from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
 # ---------------------------------------------------------------------------
 # quadrature: Gauss-Legendre panels on [0, 1] under xi = a + (b - a) tau^2
@@ -204,6 +201,8 @@ def _radial_primitive(prof: WarpProfile):
         return (lambda xi: s * xi), (lambda length: length / s)
 
     def H(xi):
+        if xi == 0.0:  # a collapsed endpoint needs no quadrature
+            return 0.0
         base, ws = _gl(64)
         t = xi * base
         return float(xi * np.sum(ws * np.sqrt(prof.h(t))))
@@ -223,7 +222,17 @@ def _radial_primitive(prof: WarpProfile):
 # factor paths (unit-speed, s in [0, length])
 
 
-class _ConstPath:
+class _FactorPath:
+    """Unit-speed geodesic of one factor; one unit of a ``PathBundle``."""
+
+    def blocks_at(self, s):
+        return [self.point(s)]
+
+    def velocity_blocks_at(self, s):
+        return [self.velocity(s)]
+
+
+class _ConstPath(_FactorPath):
     def __init__(self, block):
         self.block = block
         self.length = 0.0
@@ -238,7 +247,7 @@ class _ConstPath:
         return (0.0,) * dim
 
 
-class _LinePath:
+class _LinePath(_FactorPath):
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
@@ -252,7 +261,7 @@ class _LinePath:
         return tuple(self._dir)
 
 
-class _HypPath:
+class _HypPath(_FactorPath):
     """Unit-speed geodesic of the upper half plane.
 
     z1 is normalized to i, the target to zeta; the rotation about i
@@ -289,7 +298,7 @@ class _HypPath:
         return (self.y1 * dw.real, self.y1 * dw.imag)
 
 
-class _RadialPath:
+class _RadialPath(_FactorPath):
     """Constant-angle path of a horn-type block; endpoints may collapse."""
 
     def __init__(self, prof: WarpProfile, theta: float, xi_from: float, xi_to: float):
@@ -344,7 +353,7 @@ def _solve_branch_dx(prof: WarpProfile, xi_star: float, span: float,
     return math.exp(lam_root)
 
 
-class _WarpedPath:
+class _WarpedPath(_FactorPath):
     """Interior non-radial geodesic of a horn-type block.
 
     The solve runs over the dip depth ``delta = lo - xi*`` of the
@@ -437,31 +446,30 @@ class _WarpedPath:
     def _theta_to_dx(self, dx: float) -> float:
         return _branch_integral(self.prof, self.xi_star, 0.0, dx, "theta")
 
+    def _offset(self, s: float) -> float:
+        """Exact level offset at parameter s: above xi* on a turning path,
+        above lo on a monotone one."""
+        if self.turning:
+            if s <= self.L1:
+                return _solve_branch_dx(self.prof, self.xi_star, self.span1, self.L1 - s)
+            return _solve_branch_dx(self.prof, self.xi_star, self.span2, s - self.L1)
+        return self._mono_dx(s if self.p1.xi <= self.p2.xi else self.length - s)
+
     def point(self, s):
         s = min(max(s, 0.0), self.length)
         prof, xs = self.prof, self.xi_star
+        dx = self._offset(s)
         if self.turning:
-            if s <= self.L1:
-                dx = _solve_branch_dx(prof, xs, self.span1, self.L1 - s)
-                theta = self.p1.theta + self.sgn_th * (
-                    self._theta_to_dx(self.span1) - self._theta_to_dx(dx)
-                )
-            else:
-                dx = _solve_branch_dx(prof, xs, self.span2, s - self.L1)
-                theta = self.p1.theta + self.sgn_th * (
-                    self._theta_to_dx(self.span1) + self._theta_to_dx(dx)
-                )
+            base, swept = self._theta_to_dx(self.span1), self._theta_to_dx(dx)
+            theta = self.p1.theta + self.sgn_th * (base - swept if s <= self.L1 else base + swept)
             return HornPoint(theta, xs + dx)
-        up = self.p1.xi <= self.p2.xi
-        s_from_lo = s if up else self.length - s
-        dxu = self._mono_dx(s_from_lo)
-        dth_from_lo = _branch_integral(prof, xs, self.delta, dxu, "theta")
-        if up:
+        dth_from_lo = _branch_integral(prof, xs, self.delta, dx, "theta")
+        if self.p1.xi <= self.p2.xi:
             theta = self.p1.theta + self.sgn_th * dth_from_lo
         else:
             total = _branch_integral(prof, xs, self.delta, self.hi - self.lo, "theta")
             theta = self.p1.theta + self.sgn_th * (total - dth_from_lo)
-        return HornPoint(theta, self.lo + dxu)
+        return HornPoint(theta, self.lo + dx)
 
     def _mono_dx(self, s_from_lo: float) -> float:
         """Level offset above lo with arclength(lo -> lo + dxu) = s_from_lo."""
@@ -476,16 +484,9 @@ class _WarpedPath:
 
     def velocity(self, s):
         prof, xs = self.prof, self.xi_star
-        # recover the exact level offset dx at parameter s
-        if self.turning:
-            if s <= self.L1:
-                dx = _solve_branch_dx(prof, xs, self.span1, self.L1 - s)
-            else:
-                dx = _solve_branch_dx(prof, xs, self.span2, s - self.L1)
-        else:
-            up = self.p1.xi <= self.p2.xi
-            s_from_lo = s if up else self.length - s
-            dx = self.delta + self._mono_dx(s_from_lo)
+        dx = self._offset(s)
+        if not self.turning:
+            dx = self.delta + dx
         xi = xs + dx
         c = math.sqrt(prof.f(xs))
         f = prof.f(xi)
@@ -519,12 +520,8 @@ def _warp_connect(prof: WarpProfile, a, b):
 # coupled charts: two-stage generic solver
 
 
-def _chart_point(space: SpaceSpec, x: np.ndarray) -> CompletionPoint:
-    return make_point(space, [tuple(x[sl]) for sl in space.chart_slices()])
-
-
 def _shoot_endpoint(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
-    p0 = _chart_point(space, x0)
+    p0 = point_from_chart(space, x0)
     speed = math.sqrt(v @ metric_at_chart(space, x0) @ v)
     if speed == 0.0:
         return None
@@ -694,17 +691,12 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
-    xi_floor = _xi_floor(space)
+    xi_pos = list(space.xi_offsets)
+    levels = list(space.level_offsets)
     d = space.dim
     nodes = np.linspace(0.0, 1.0, 17)[:, None] * (x1 - x0)[None, :] + x0[None, :]
     prev_len = None
     length = None
-
-    def admissible(cand):
-        for factor, sl in zip(space.factors, space.chart_slices()):
-            if isinstance(factor, HyperbolicPlane) and np.any(cand[:, sl.start + 1] <= 0):
-                return False
-        return True
 
     for m in range(4, m_max + 1):
         energy = _polyline_energy(space, nodes)
@@ -723,9 +715,8 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
             for _ in range(25):
                 cand = nodes.copy()
                 cand[1:-1] = nodes[1:-1] + lam * step
-                if xi_floor is not None:
-                    cand = np.maximum(cand, xi_floor)
-                if admissible(cand):
+                cand[:, xi_pos] = np.maximum(cand[:, xi_pos], XI_SNAP)
+                if not np.any(cand[:, levels] <= 0):
                     e_new = _polyline_energy(space, cand)
                     if e_new <= energy + 1e-15 * abs(energy):
                         nodes, energy = cand, e_new
@@ -744,15 +735,6 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
         fine[1::2] = 0.5 * (nodes[1:] + nodes[:-1])
         nodes = fine
     return _ChartPolyline(space, nodes, length)
-
-
-def _xi_floor(space: SpaceSpec):
-    if not space.horn_indices:
-        return None
-    floor = np.full(space.dim, -np.inf)
-    for idx in space.horn_indices:
-        floor[space.chart_slices()[idx].start + 1] = XI_SNAP
-    return floor
 
 
 class _GroupPath:
@@ -791,9 +773,8 @@ class _GroupPath:
         out = list(blocks)
         extra = 0.0
         for i, (factor, blk) in enumerate(zip(sub_space.factors, blocks)):
-            if is_horn_like(factor) and isinstance(blk, BoundaryPoint):
-                prof = warp_profile(factor)
-                H, _ = _radial_primitive(prof)
+            if isinstance(blk, BoundaryPoint):
+                H, _ = _radial_primitive(factor.profile)
                 ob = other_blocks[i]
                 theta = ob.theta if isinstance(ob, HornPoint) else 0.0
                 out[i] = HornPoint(theta, XI_SNAP)
@@ -807,7 +788,7 @@ class _GroupPath:
         if self._seg is not None:
             return list(self._seg.point_at(frac).blocks)
         x = self._poly.chart_at_fraction(frac)
-        return list(_chart_point(self.sub_space, x).blocks)
+        return list(point_from_chart(self.sub_space, x).blocks)
 
     def velocity_blocks_at(self, s):
         if self._seg is None or self._seg.chart_velocity is None:
@@ -827,26 +808,16 @@ class _GroupPath:
 # product assembly
 
 
-@dataclass
-class _Unit:
-    factor_ids: tuple[int, ...]
-    path: object
-    is_group: bool
-
-
 class PathBundle:
     """Per-factor geodesics assembled into the product geodesic."""
 
     def __init__(self, space: SpaceSpec, p: CompletionPoint, q: CompletionPoint):
         self.space = space
         self.p, self.q = p, q
-        self.units: list[_Unit] = []
+        self.units: list[tuple[tuple[int, ...], object]] = []  # (factor ids, path)
         grouped: set[int] = set()
         if space.coupled:
-            ids = [i for i, f in enumerate(space.factors)
-                   if isinstance(f, PerturbedHorn) and f.b3 > 0]
-            eu = next(i for i, f in enumerate(space.factors) if isinstance(f, Euclidean))
-            ids = tuple(sorted(ids + [eu]))
+            ids = tuple(sorted(space.coupled_ids + (space.euclid_index,)))
             grouped = set(ids)
             sub_space = SpaceSpec(tuple(space.factors[i] for i in ids))
             gp = _GroupPath(
@@ -854,21 +825,14 @@ class PathBundle:
                 [p.blocks[i] for i in ids],
                 [q.blocks[i] for i in ids],
             )
-            self.units.append(_Unit(ids, gp, True))
+            self.units.append((ids, gp))
         for i, factor in enumerate(space.factors):
             if i in grouped:
                 continue
             a, b = p.blocks[i], q.blocks[i]
-            if a == b:
-                path = _ConstPath(a)
-            elif isinstance(factor, Euclidean):
-                path = _LinePath(a, b)
-            elif isinstance(factor, HyperbolicPlane):
-                path = _HypPath(a, b)
-            else:
-                path = _warp_connect(warp_profile(factor), a, b)
-            self.units.append(_Unit((i,), path, False))
-        self.length = math.sqrt(sum(u.path.length**2 for u in self.units))
+            path = _ConstPath(a) if a == b else _solver(factor).path(factor.profile, a, b)
+            self.units.append(((i,), path))
+        self.length = math.sqrt(sum(path.length**2 for _, path in self.units))
 
     def point_at(self, frac: float) -> CompletionPoint:
         if frac <= 0.0:
@@ -876,38 +840,20 @@ class PathBundle:
         if frac >= 1.0:
             return self.q
         blocks: list = [None] * len(self.space.factors)
-        for unit in self.units:
-            s = frac * unit.path.length
-            if unit.is_group:
-                for fid, blk in zip(unit.factor_ids, unit.path.blocks_at(s)):
-                    blocks[fid] = blk
-            else:
-                blocks[unit.factor_ids[0]] = unit.path.point(s)
-        return make_point(self.space, [self._raw(b) for b in blocks])
-
-    @staticmethod
-    def _raw(block):
-        if isinstance(block, BoundaryPoint):
-            return None
-        if isinstance(block, HornPoint):
-            return (block.theta, block.xi)
-        return block
+        for ids, path in self.units:
+            for fid, blk in zip(ids, path.blocks_at(frac * path.length)):
+                blocks[fid] = blk
+        return make_point(self.space, blocks)
 
     def initial_velocity(self) -> TangentVector | None:
         """Unit initial velocity; None entries on boundary-start blocks."""
         if self.length == 0.0:
             return None
         blocks: list = [None] * len(self.space.factors)
-        for unit in self.units:
-            scale = unit.path.length / self.length
-            if unit.is_group:
-                for fid, v in zip(unit.factor_ids, unit.path.velocity_blocks_at(0.0)):
-                    blocks[fid] = None if v is None else tuple(scale * c for c in v)
-            else:
-                v = unit.path.velocity(0.0)
-                blocks[unit.factor_ids[0]] = (
-                    None if v is None else tuple(scale * c for c in v)
-                )
+        for ids, path in self.units:
+            scale = path.length / self.length
+            for fid, v in zip(ids, path.velocity_blocks_at(0.0)):
+                blocks[fid] = None if v is None else tuple(scale * c for c in v)
         return TangentVector(tuple(blocks))
 
 
@@ -954,19 +900,7 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     try:
         if space.coupled:
             return PathBundle(space, p, q).length
-        total = 0.0
-        for i, factor in enumerate(space.factors):
-            a, b = p.blocks[i], q.blocks[i]
-            if a == b:
-                continue
-            if isinstance(factor, Euclidean):
-                d = math.dist(a, b)
-            elif isinstance(factor, HyperbolicPlane):
-                d = _hyp_distance(a, b)
-            else:
-                d = _warp_distance(warp_profile(factor), a, b)
-            total += d * d
-        return math.sqrt(total)
+        return math.sqrt(sum(d * d for d in factor_distances(space, p, q)))
     except (ConnectError, IntegrationError):
         raise DistanceIntervalError(
             lower_bound_distance(space, p, q),
@@ -982,18 +916,45 @@ def _hyp_distance(a, b) -> float:
 
 
 def _warp_distance(prof: WarpProfile, a, b) -> float:
-    a_b = isinstance(a, BoundaryPoint)
-    b_b = isinstance(b, BoundaryPoint)
-    if a_b and b_b:
-        return 0.0
+    """Distance between two blocks of a horn kind: their geodesic's length."""
+    return _warp_connect(prof, a, b).length
+
+
+def _warp_bound(prof: WarpProfile, a, b, upper: bool, c: float | None) -> float:
+    """Radial bound term of a horn block: ``H(xi_a) + H(xi_b)`` (upper:
+    through the axis) or ``|H(xi_a) - H(xi_b)|`` (lower: radial
+    projection); a coupled horn's lower term integrates
+    ``sqrt(h - c xi^6)`` between the levels instead."""
+    la, lb = _level(a), _level(b)
+    if not upper and c is not None:
+        return _level_length(lambda t: prof.h(t) - c * t**6, la, lb)
     H, _ = _radial_primitive(prof)
-    if a_b:
-        return H(b.xi)
-    if b_b:
-        return H(a.xi)
-    if a.theta == b.theta:
-        return abs(H(a.xi) - H(b.xi))
-    return _WarpedPath(prof, a, b).length
+    return H(la) + H(lb) if upper else abs(H(la) - H(lb))
+
+
+class _Solver(NamedTuple):
+    path: Callable      # (profile, a, b) -> unit-speed factor path
+    distance: Callable  # (profile, a, b) -> its length
+    bound: Callable     # (profile, a, b, upper, c) -> radial bound term
+
+
+_LINE = _Solver(lambda _, a, b: _LinePath(a, b), lambda _, a, b: math.dist(a, b),
+                lambda _, a, b, upper, c: math.dist(a, b))
+_HYP = _Solver(lambda _, a, b: _HypPath(a, b), lambda _, a, b: _hyp_distance(a, b),
+               lambda _, a, b, upper, c: _hyp_distance(a, b))
+_WARP = _Solver(_warp_connect, lambda prof, a, b: _warp_distance(prof, a, b), _warp_bound)
+
+
+def _solver(factor) -> _Solver:
+    """The exact solver of one factor's blocks, called with the factor's
+    profile: lines on a Euclidean block, the closed forms of the
+    hyperbolic plane, and the first-integral solver on the warp profile
+    of a horn kind.  Exact solvers are their own radial bounds."""
+    if isinstance(factor, Euclidean):
+        return _LINE
+    if isinstance(factor, HyperbolicPlane):
+        return _HYP
+    return _WARP
 
 
 def midpoint(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
@@ -1014,18 +975,8 @@ def factor_distances(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint
     """Per-factor distances; None when the chart is b3-coupled."""
     if space.coupled:
         return None
-    out = []
-    for i, factor in enumerate(space.factors):
-        a, b = p.blocks[i], q.blocks[i]
-        if a == b:
-            out.append(0.0)
-        elif isinstance(factor, Euclidean):
-            out.append(math.dist(a, b))
-        elif isinstance(factor, HyperbolicPlane):
-            out.append(_hyp_distance(a, b))
-        else:
-            out.append(_warp_distance(warp_profile(factor), a, b))
-    return out
+    return [0.0 if a == b else _solver(f).distance(f.profile, a, b)
+            for f, a, b in zip(space.factors, p.blocks, q.blocks)]
 
 
 def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
@@ -1040,8 +991,10 @@ def lower_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoin
 
     Rigorous on uncoupled charts.  On a b3-coupled chart it assumes
     ``h_k - n_c b3_k^2 xi^6 > 0`` on the levels between the endpoints
-    (see :func:`_radial_bound`); with one coupled horn that is exactly
-    where the metric is positive definite.
+    (see :func:`_radial_bound`).  The chart metric itself is positive
+    definite exactly where ``sum_k b3_k^2 xi_k^6 / h_k(xi_k) < 1`` over the
+    coupled horns (``spaces.coupling_sum``; ``point_from_json`` rejects
+    points beyond it); with one coupled horn the two conditions agree.
     """
     return _radial_bound(space, p, q, upper=False)
 
@@ -1061,37 +1014,25 @@ def _radial_bound(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     at most ``n_c sum_k b3_k^2 xi_k^6 dxi_k^2``, so the lower bound's
     radial terms integrate ``sqrt(h_k - n_c b3_k^2 xi^6)`` between levels.
     """
-    def level(blk):
-        return 0.0 if isinstance(blk, BoundaryPoint) else blk.xi
-
-    coupled = [i for i, f in enumerate(space.factors)
-               if isinstance(f, PerturbedHorn) and f.b3 > 0]
-    eu = next((i for i, f in enumerate(space.factors) if isinstance(f, Euclidean)), None)
+    coupled = space.coupled_ids
+    eu = space.euclid_index
     total = 0.0
     for i, factor in enumerate(space.factors):
         a, b = p.blocks[i], q.blocks[i]
-        if isinstance(factor, Euclidean):
-            if coupled and i == eu:
-                dy = a[0] - b[0] + sum(
-                    space.factors[k].b3 * (level(p.blocks[k]) ** 4 - level(q.blocks[k]) ** 4)
-                    for k in coupled) / 4.0
-                d = math.hypot(dy, math.dist(a[1:], b[1:]))
-            else:
-                d = math.dist(a, b)
-        elif isinstance(factor, HyperbolicPlane):
-            d = _hyp_distance(a, b)
+        if coupled and i == eu:
+            dy = a[0] - b[0] + sum(
+                space.factors[k].b3 * (_level(p.blocks[k]) ** 4 - _level(q.blocks[k]) ** 4)
+                for k in coupled) / 4.0
+            d = math.hypot(dy, math.dist(a[1:], b[1:]))
         else:
-            prof = warp_profile(factor)
-            H, _ = _radial_primitive(prof)
-            if upper:
-                d = H(level(a)) + H(level(b))
-            elif i in coupled:
-                c = len(coupled) * factor.b3**2
-                d = _level_length(lambda t: prof.h(t) - c * t**6, level(a), level(b))
-            else:
-                d = abs(H(level(a)) - H(level(b)))
+            c = len(coupled) * factor.b3**2 if i in coupled else None
+            d = _solver(factor).bound(factor.profile, a, b, upper, c)
         total += d * d
     return math.sqrt(total)
+
+
+def _level(blk) -> float:
+    return 0.0 if isinstance(blk, BoundaryPoint) else blk.xi
 
 
 def _level_length(h, a: float, b: float) -> float:

@@ -18,17 +18,14 @@ from ..errors import IntegrationError
 from .spaces import (
     XI_SNAP,
     CompletionPoint,
-    Euclidean,
-    HyperbolicPlane,
     SpaceSpec,
     TangentVector,
     chart_vector,
-    is_horn_like,
     make_point,
     point_from_chart,
     tangent_chart_vector,
 )
-from .tensors import metric_at_chart, metric_batch, metric_grad_batch, warp_profile
+from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
 # Dormand-Prince 5(4) tableau
 _A = (
@@ -50,9 +47,10 @@ _ERR = _B5 - _B4
 def acceleration_fn(space: SpaceSpec):
     """Return ``accel(x, v)`` for the geodesic equation of the chart metric.
 
-    Uncoupled charts sum exact per-factor formulas.  A coupled chart
-    solves ``g a = -w`` with ``w_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j``
-    from the exact metric gradient, which is ``a = -Gamma(v, v)``.
+    Uncoupled charts sum the exact accelerations of the factors' warp
+    profiles.  A coupled chart solves ``g a = -w`` with
+    ``w_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j`` from the exact metric
+    gradient, which is ``a = -Gamma(v, v)``.
     """
     if space.coupled:
 
@@ -62,35 +60,13 @@ def acceleration_fn(space: SpaceSpec):
 
         return accel_coupled
 
-    pieces = []
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        k = sl.start
-        if isinstance(factor, Euclidean):
-            continue
-        if isinstance(factor, HyperbolicPlane):
-
-            def hyp(x, v, a, k=k):
-                y = x[k + 1]
-                a[k] = 2.0 * v[k] * v[k + 1] / y
-                a[k + 1] = (v[k + 1] ** 2 - v[k] ** 2) / y
-
-            pieces.append(hyp)
-        else:
-            prof = warp_profile(factor)
-
-            def warp(x, v, a, k=k, prof=prof):
-                xi = x[k + 1]
-                f, fp = prof.f(xi), prof.fp(xi)
-                h, hp = prof.h(xi), prof.hp(xi)
-                a[k] = -(fp / f) * v[k] * v[k + 1]
-                a[k + 1] = (fp / (2.0 * h)) * v[k] ** 2 - (hp / (2.0 * h)) * v[k + 1] ** 2
-
-            pieces.append(warp)
+    pieces = [(sl.start, f.profile) for f, sl in zip(space.factors, space.chart_slices())
+              if f.profile is not None]
 
     def accel(x, v):
         a = np.zeros_like(x)
-        for piece in pieces:
-            piece(x, v, a)
+        for k, prof in pieces:
+            a[k], a[k + 1] = prof.accel(x[k + 1], v[k], v[k + 1])
         return a
 
     return accel
@@ -148,11 +124,6 @@ class GeodesicSegment:
         return point_from_chart(self.space, (1 - w) * va + w * vb)
 
 
-def _horn_xi_positions(space: SpaceSpec) -> list[int]:
-    slices = space.chart_slices()
-    return [slices[i].start + 1 for i in space.horn_indices]
-
-
 def geodesic_shoot(
     space: SpaceSpec,
     point: CompletionPoint,
@@ -182,7 +153,7 @@ def geodesic_shoot(
     v = v / sp0
 
     accel = acceleration_fn(space)
-    xi_pos = _horn_xi_positions(space)
+    xi_pos = space.xi_offsets
     n = space.dim
 
     def rhs(y):
@@ -276,15 +247,11 @@ def geodesic_shoot(
 
 
 def _final_point(space: SpaceSpec, x: np.ndarray, snapped: bool) -> CompletionPoint:
-    if not snapped:
-        return point_from_chart(space, x)
-    blocks = []
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        part = tuple(x[sl])
-        if is_horn_like(factor) and part[1] <= XI_SNAP * (1.0 + 1e-9):
-            blocks.append(None)
-        else:
-            blocks.append(part)
+    blocks = [tuple(x[sl]) for sl in space.chart_slices()]
+    if snapped:
+        for i in space.horn_indices:
+            if blocks[i][1] <= XI_SNAP * (1.0 + 1e-9):
+                blocks[i] = None
     return make_point(space, blocks)
 
 
@@ -299,7 +266,7 @@ def clairaut_series(space: SpaceSpec, segment: GeodesicSegment) -> np.ndarray:
     slices = space.chart_slices()
     rows = []
     for idx in space.horn_indices:
-        prof = warp_profile(space.factors[idx])
+        prof = space.factors[idx].profile
         k = slices[idx].start
         xi = segment.chart[:, k + 1]
         vth = segment.chart_velocity[:, k]

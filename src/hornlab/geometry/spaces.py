@@ -1,4 +1,4 @@
-"""Model spaces: factor specifications, completion points, tangent vectors.
+"""Model spaces: the factor protocol, completion points, tangent vectors.
 
 A model space is a finite ordered product of factors:
 
@@ -11,6 +11,27 @@ A model space is a finite ordered product of factors:
   ``diag(B xi^6 (1 + c6 xi^6), 4 B (1 + a4 xi^4))`` and an optional
   ``b3 xi^3`` cross term against the first Euclidean coordinate of the
   space.
+
+The factor protocol.  Every factor class answers for its own block what
+other modules would otherwise decide by testing the factor's kind; the
+only kind tests left outside this module pick a factor's exact solver
+(``connect``) and its action type (``actions``):
+
+* ``dim``, and ``profile``: the warp coefficients of a 2-D block
+  ``f(s) dt^2 + h(s) ds^2`` (a :class:`WarpProfile` for the horn kinds,
+  :class:`HyperbolicProfile` for the hyperbolic plane), or ``None`` for a
+  flat block.  Each profile is built once per factor.
+* ``block(raw)``: validate and canonicalize one raw block (snap, finite
+  coordinates, length, ``y > 0``); :func:`make_point` is one loop over it.
+* ``kind``, ``to_json()`` and ``from_json(entry)``: the JSON wire format,
+  served by one registry of kinds.
+* ``csv_columns(i)``, ``csv_cells(block)`` and ``csv_block(cells)``: the
+  CSV wire format of ``paths``.
+* ``curvature(block)``: the sectional curvature of a 2-D factor.
+
+``SpaceSpec`` adds the facts about the product that several modules use:
+the horn and coupled-horn indices, the first Euclidean factor and the
+chart offsets of the horn and hyperbolic level coordinates.
 
 A completion point carries one block per factor.  Horn-type blocks are
 either interior ``(theta, xi)`` pairs or the boundary marker; all other
@@ -27,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import CurvatureUndefinedError
+
 #: Below this xi a horn block is canonicalized to the boundary point: the
 #: angular coefficient xi^6 is then < 1e-42 and the completion identifies
 #: the whole axis with a single point.  Snapping moves a block by its
@@ -38,30 +61,202 @@ XI_SNAP = 1e-7
 
 
 # ---------------------------------------------------------------------------
+# warp profiles: g = f(s) dt^2 + h(s) ds^2 on 2-D factors
+
+
+class WarpProfile:
+    """Coefficient functions of a rotationally symmetric horn-type block."""
+
+    def __init__(self, B=1.0, a4=0.0, c6=0.0):
+        self.B = float(B)
+        self.a4 = float(a4)
+        self.c6 = float(c6)
+
+    def f(self, xi):
+        if self.c6 == 0.0:
+            return self.B * xi**6
+        return self.B * xi**6 * (1.0 + self.c6 * xi**6)
+
+    def fp(self, xi):
+        return self.B * (6.0 * xi**5 + 12.0 * self.c6 * xi**11)
+
+    def fpp(self, xi):
+        return self.B * (30.0 * xi**4 + 132.0 * self.c6 * xi**10)
+
+    def h(self, xi):
+        if self.a4 == 0.0:
+            return 4.0 * self.B  # scalar broadcasts over node arrays
+        return 4.0 * self.B * (1.0 + self.a4 * xi**4)
+
+    def hp(self, xi):
+        return 16.0 * self.B * self.a4 * xi**3
+
+    def f_minus(self, xi, xi0, dx=None):
+        """``f(xi) - f(xi0)`` factored to survive cancellation at xi ~ xi0.
+
+        ``dx`` is the exactly known difference ``xi - xi0`` when the caller
+        has it (quadrature substitution nodes).
+        """
+        if dx is None:
+            dx = xi - xi0
+        p6 = xi**5 + xi**4 * xi0 + xi**3 * xi0**2 + xi**2 * xi0**3 + xi * xi0**4 + xi0**5
+        base = dx * p6
+        return self.B * base * (1.0 + self.c6 * (xi**6 + xi0**6))
+
+    def f_inv(self, value):
+        """Inverse of f on xi >= 0 (monotone)."""
+        if value <= 0.0:
+            return 0.0
+        xi = (value / self.B) ** (1.0 / 6.0)
+        if self.c6:
+            for _ in range(60):  # Newton; f is smooth and convex here
+                r = self.f(xi) - value
+                if abs(r) <= 1e-16 * value:
+                    break
+                xi -= r / self.fp(xi)
+        return xi
+
+    def curvature(self, xi):
+        f, fp, fpp = self.f(xi), self.fp(xi), self.fpp(xi)
+        h, hp = self.h(xi), self.hp(xi)
+        return -fpp / (2.0 * f * h) + fp * (fp * h + f * hp) / (4.0 * f**2 * h**2)
+
+    def accel(self, s, vt, vs):
+        """Geodesic acceleration ``(a_t, a_s)`` at level s, velocity (vt, vs)."""
+        f, fp = self.f(s), self.fp(s)
+        h, hp = self.h(s), self.hp(s)
+        return -(fp / f) * vt * vs, (fp / (2.0 * h)) * vt**2 - (hp / (2.0 * h)) * vs**2
+
+
+class HyperbolicProfile:
+    """``f = h = 1/y^2``: the upper half plane in the chart ``(x, y)``."""
+
+    def f(self, y):
+        return 1.0 / y**2
+
+    def fp(self, y):
+        return -2.0 / y**3
+
+    h, hp = f, fp
+
+    def accel(self, y, vx, vy):
+        """Geodesic acceleration ``(a_x, a_y)``, the warp formula simplified."""
+        return 2.0 * vx * vy / y, (vy**2 - vx**2) / y
+
+
+# ---------------------------------------------------------------------------
 # factor specifications
 
 
+def _wire_int(value, what: str) -> int:
+    """An integer field of a wire document; 2.0 passes, 2.7 and inf do not."""
+    if isinstance(value, int):
+        return value
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
+class _Factor:
+    """JSON wire format shared by the factor classes without parameters."""
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_json(cls, entry):
+        return cls()
+
+
+class _HornKind(_Factor):
+    """Block protocol of the horn kinds: interior ``(theta, xi)`` pairs,
+    snapped to the boundary marker below ``XI_SNAP``."""
+
+    dim = 2
+
+    def block(self, raw):
+        if raw is None or isinstance(raw, BoundaryPoint):
+            return BOUNDARY
+        if isinstance(raw, HornPoint):
+            theta, xi = raw.theta, raw.xi
+        else:
+            theta, xi = raw
+        if not (math.isfinite(theta) and math.isfinite(xi)):
+            raise ValueError("horn coordinates must be finite")
+        if xi < XI_SNAP:
+            return BOUNDARY
+        return HornPoint(float(theta), float(xi))
+
+    def csv_columns(self, i: int) -> list[str]:
+        return [f"f{i}_theta", f"f{i}_xi", f"f{i}_boundary"]
+
+    def csv_cells(self, block) -> list[str]:
+        if isinstance(block, BoundaryPoint):
+            return ["", "", "1"]
+        return [repr(block.theta), repr(block.xi), "0"]
+
+    def csv_block(self, cells):
+        theta, xi, boundary = cells
+        return None if boundary == "1" else (float(theta), float(xi))
+
+    def curvature(self, block) -> float:
+        return self.profile.curvature(block.xi)
+
+
+class _CoordKind(_Factor):
+    """Block protocol of the factors whose blocks are coordinate tuples."""
+
+    def block(self, raw):
+        coords = tuple(float(c) for c in raw)
+        if len(coords) != self.dim:
+            raise ValueError(f"block has {len(coords)} coords, factor dim {self.dim}")
+        if not all(math.isfinite(c) for c in coords):
+            raise ValueError("coordinates must be finite")
+        return coords
+
+    def csv_columns(self, i: int) -> list[str]:
+        return [f"f{i}_c{j}" for j in range(self.dim)]
+
+    def csv_cells(self, block) -> list[str]:
+        return [repr(c) for c in block]
+
+    def csv_block(self, cells):
+        return tuple(float(c) for c in cells)
+
+
 @dataclass(frozen=True)
-class Horn:
+class Horn(_HornKind):
     """Half plane with metric ``diag(xi^6, 4)`` in ``(theta, xi)`` order."""
 
-    @property
-    def dim(self) -> int:
-        return 2
+    kind = "horn"
+    profile = WarpProfile()
 
 
 @dataclass(frozen=True)
-class HyperbolicPlane:
+class HyperbolicPlane(_CoordKind):
     """Upper half plane, chart ``(x, y)`` with metric ``diag(1/y^2, 1/y^2)``."""
 
-    @property
-    def dim(self) -> int:
-        return 2
+    kind = "hyperbolic"
+    dim = 2
+    profile = HyperbolicProfile()
+
+    def block(self, raw):
+        coords = _CoordKind.block(self, raw)
+        if coords[1] <= 0:
+            raise ValueError("hyperbolic chart needs y > 0")
+        return coords
+
+    def curvature(self, block) -> float:
+        return -1.0
 
 
 @dataclass(frozen=True)
-class Euclidean:
+class Euclidean(_CoordKind):
     dim_: int = 1
+
+    kind = "euclidean"
+    profile = None
 
     def __post_init__(self):
         if self.dim_ < 1:
@@ -71,9 +266,21 @@ class Euclidean:
     def dim(self) -> int:
         return self.dim_
 
+    def curvature(self, block) -> float:
+        if self.dim != 2:
+            raise CurvatureUndefinedError("curvature undefined for this factor")
+        return 0.0
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim}
+
+    @classmethod
+    def from_json(cls, entry):
+        return cls(_wire_int(entry["dim"], "Euclidean dim"))
+
 
 @dataclass(frozen=True)
-class PerturbedHorn:
+class PerturbedHorn(_HornKind):
     """Horn with user-configured perturbation amplitudes.
 
     Block metric ``diag(B xi^6 (1 + c6 xi^6), 4 B (1 + a4 xi^4))``; when
@@ -86,6 +293,8 @@ class PerturbedHorn:
     b3: float = 0.0
     c6: float = 0.0
 
+    kind = "perturbed_horn"
+
     def __post_init__(self):
         if not (self.B > 0 and math.isfinite(self.B)):
             raise ValueError("PerturbedHorn needs B > 0")
@@ -93,17 +302,29 @@ class PerturbedHorn:
             v = getattr(self, name)
             if v < 0 or not math.isfinite(v):
                 raise ValueError(f"PerturbedHorn amplitude {name} must be finite and >= 0")
+        object.__setattr__(self, "profile", WarpProfile(B=self.B, a4=self.a4, c6=self.c6))
 
-    @property
-    def dim(self) -> int:
-        return 2
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "B": self.B, "a4": self.a4, "b3": self.b3, "c6": self.c6}
+
+    @classmethod
+    def from_json(cls, entry):
+        return cls(
+            B=float(entry["B"]),
+            a4=float(entry.get("a4", 0.0)),
+            b3=float(entry.get("b3", 0.0)),
+            c6=float(entry.get("c6", 0.0)),
+        )
 
 
 FactorSpec = Horn | HyperbolicPlane | Euclidean | PerturbedHorn
 
+#: JSON kind -> factor class
+_FACTOR_CLASSES = {cls.kind: cls for cls in (Horn, HyperbolicPlane, Euclidean, PerturbedHorn)}
+
 
 def is_horn_like(factor: FactorSpec) -> bool:
-    return isinstance(factor, (Horn, PerturbedHorn))
+    return isinstance(factor, _HornKind)
 
 
 @dataclass(frozen=True)
@@ -116,24 +337,33 @@ class SpaceSpec:
         factors = tuple(factors)
         if not factors:
             raise ValueError("a space needs at least one factor")
-        has_euclid = any(isinstance(f, Euclidean) for f in factors)
-        for f in factors:
-            if isinstance(f, PerturbedHorn) and f.b3 > 0 and not has_euclid:
-                raise ValueError("b3 coupling needs a Euclidean factor in the space")
         object.__setattr__(self, "factors", factors)
+        if self.coupled_ids and self.euclid_index is None:
+            raise ValueError("b3 coupling needs a Euclidean factor in the space")
 
     @property
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
-    @property
+    @functools.cached_property
     def horn_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.factors) if is_horn_like(f))
+
+    @functools.cached_property
+    def coupled_ids(self) -> tuple[int, ...]:
+        """Indices of the horns whose b3 amplitude ties them to a Euclidean block."""
+        return tuple(i for i, f in enumerate(self.factors)
+                     if isinstance(f, PerturbedHorn) and f.b3 > 0)
 
     @property
     def coupled(self) -> bool:
         """True when some b3 amplitude ties a horn block to a Euclidean one."""
-        return any(isinstance(f, PerturbedHorn) and f.b3 > 0 for f in self.factors)
+        return bool(self.coupled_ids)
+
+    @functools.cached_property
+    def euclid_index(self) -> int | None:
+        """Index of the first Euclidean factor, if any."""
+        return next((i for i, f in enumerate(self.factors) if isinstance(f, Euclidean)), None)
 
     def chart_slices(self) -> list[slice]:
         out, k = [], 0
@@ -144,12 +374,21 @@ class SpaceSpec:
 
     def first_euclidean_offset(self) -> int | None:
         """Chart offset of the first Euclidean coordinate, if any."""
-        k = 0
-        for f in self.factors:
-            if isinstance(f, Euclidean):
-                return k
-            k += f.dim
-        return None
+        i = self.euclid_index
+        return None if i is None else self.chart_slices()[i].start
+
+    @functools.cached_property
+    def xi_offsets(self) -> tuple[int, ...]:
+        """Chart offsets of the horn xi coordinates."""
+        slices = self.chart_slices()
+        return tuple(slices[i].start + 1 for i in self.horn_indices)
+
+    @functools.cached_property
+    def level_offsets(self) -> tuple[int, ...]:
+        """Chart offsets of the level coordinates (horn xi, hyperbolic y),
+        which stay positive on the chart."""
+        return tuple(sl.start + 1 for f, sl in zip(self.factors, self.chart_slices())
+                     if f.profile is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,44 +442,20 @@ def make_point(space: SpaceSpec, blocks) -> CompletionPoint:
     """Validate and canonicalize raw blocks into a completion point.
 
     Horn blocks with ``xi < XI_SNAP`` snap to the boundary marker; a pair
-    ``(theta, xi)`` may be given for horn blocks, plain tuples elsewhere.
-    Each snap changes distances from the point by less than
-    ``2 sqrt(B) XI_SNAP`` (see ``XI_SNAP``).
+    ``(theta, xi)``, a ``HornPoint``, a ``BoundaryPoint`` or ``None`` may
+    be given for horn blocks, plain tuples elsewhere.  Each snap changes
+    distances from the point by less than ``2 sqrt(B) XI_SNAP`` (see
+    ``XI_SNAP``).
     """
     if len(blocks) != len(space.factors):
         raise ValueError(f"expected {len(space.factors)} blocks, got {len(blocks)}")
-    out: list[Block] = []
-    for factor, raw in zip(space.factors, blocks):
-        if is_horn_like(factor):
-            if isinstance(raw, BoundaryPoint) or raw is None:
-                out.append(BOUNDARY)
-                continue
-            if isinstance(raw, HornPoint):
-                theta, xi = raw.theta, raw.xi
-            else:
-                theta, xi = raw
-            if not (math.isfinite(theta) and math.isfinite(xi)):
-                raise ValueError("horn coordinates must be finite")
-            if xi < XI_SNAP:
-                out.append(BOUNDARY)
-            else:
-                out.append(HornPoint(float(theta), float(xi)))
-        else:
-            coords = tuple(float(c) for c in raw)
-            if len(coords) != factor.dim:
-                raise ValueError(f"block has {len(coords)} coords, factor dim {factor.dim}")
-            if not all(math.isfinite(c) for c in coords):
-                raise ValueError("coordinates must be finite")
-            if isinstance(factor, HyperbolicPlane) and coords[1] <= 0:
-                raise ValueError("hyperbolic chart needs y > 0")
-            out.append(coords)
-    return CompletionPoint(tuple(out))
+    return CompletionPoint(tuple([f.block(raw) for f, raw in zip(space.factors, blocks)]))
 
 
 def chart_vector(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
     """Concatenated chart coordinates of an interior point."""
     coords: list[float] = []
-    for factor, block in zip(space.factors, point.blocks):
+    for block in point.blocks:
         if isinstance(block, BoundaryPoint):
             raise ValueError("chart coordinates undefined at a stratum")
         if isinstance(block, HornPoint):
@@ -254,11 +469,7 @@ def point_from_chart(space: SpaceSpec, vec) -> CompletionPoint:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (space.dim,):
         raise ValueError(f"chart vector must have length {space.dim}")
-    blocks = []
-    for factor, sl in zip(space.factors, space.chart_slices()):
-        part = vec[sl]
-        blocks.append(tuple(part))
-    return make_point(space, blocks)
+    return make_point(space, [tuple(vec[sl]) for sl in space.chart_slices()])
 
 
 def tangent_from_chart(space: SpaceSpec, vec) -> TangentVector:
@@ -307,29 +518,30 @@ def points_equal(a: CompletionPoint, b: CompletionPoint, tol: float = 0.0) -> bo
     return True
 
 
+def coupling_sum(space: SpaceSpec, point: CompletionPoint) -> float:
+    """``sum_k b3_k^2 xi_k^6 / h_k(xi_k)`` over the coupled horns of a point.
+
+    This is one minus the Schur complement of the horn radial block on the
+    first Euclidean coordinate, so the chart metric of a b3-coupled point
+    is positive definite exactly when the sum is below 1.  Boundary blocks
+    contribute 0; an overflowing level gives inf.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in space.coupled_ids:
+            blk = point.blocks[i]
+            if isinstance(blk, HornPoint):
+                factor, xi = space.factors[i], np.float64(blk.xi)
+                total += float(factor.b3**2 * xi**6 / factor.profile.h(xi))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # JSON wire formats
 
 
-_FACTOR_KINDS = {
-    Horn: "horn",
-    HyperbolicPlane: "hyperbolic",
-    Euclidean: "euclidean",
-    PerturbedHorn: "perturbed_horn",
-}
-
-
 def space_to_json(space: SpaceSpec) -> dict:
-    factors = []
-    for f in space.factors:
-        kind = _FACTOR_KINDS[type(f)]
-        if isinstance(f, Euclidean):
-            factors.append({"kind": kind, "dim": f.dim})
-        elif isinstance(f, PerturbedHorn):
-            factors.append({"kind": kind, "B": f.B, "a4": f.a4, "b3": f.b3, "c6": f.c6})
-        else:
-            factors.append({"kind": kind})
-    return {"factors": factors}
+    return {"factors": [f.to_json() for f in space.factors]}
 
 
 def _wire_parser(parse):
@@ -353,24 +565,10 @@ def space_from_json(doc) -> SpaceSpec:
         doc = json.loads(doc)
     factors: list[FactorSpec] = []
     for entry in doc["factors"]:
-        kind = entry["kind"]
-        if kind == "horn":
-            factors.append(Horn())
-        elif kind == "hyperbolic":
-            factors.append(HyperbolicPlane())
-        elif kind == "euclidean":
-            factors.append(Euclidean(int(entry["dim"])))
-        elif kind == "perturbed_horn":
-            factors.append(
-                PerturbedHorn(
-                    B=float(entry["B"]),
-                    a4=float(entry.get("a4", 0.0)),
-                    b3=float(entry.get("b3", 0.0)),
-                    c6=float(entry.get("c6", 0.0)),
-                )
-            )
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
+        cls = _FACTOR_CLASSES.get(entry["kind"])
+        if cls is None:
+            raise ValueError(f"unknown factor kind {entry['kind']!r}")
+        factors.append(cls.from_json(entry))
     return SpaceSpec(tuple(factors))
 
 
@@ -386,6 +584,21 @@ def point_to_json(point: CompletionPoint) -> dict:
     return {"blocks": blocks}
 
 
+def _definite(space: SpaceSpec, point: CompletionPoint) -> CompletionPoint:
+    """Reject a parsed b3-coupled point whose chart metric is indefinite.
+
+    The wire parsers check this and :func:`make_point` does not: solver
+    states pass through ``make_point``, and an error raised there would
+    escape ``distance`` instead of becoming a distance interval.
+    """
+    if space.coupled_ids:
+        total = coupling_sum(space, point)
+        if not total < 1.0:
+            raise ValueError("chart metric is not positive definite at this b3-coupled "
+                             f"point: sum b3^2 xi^6 / h(xi) = {total!r} >= 1")
+    return point
+
+
 @_wire_parser
 def point_from_json(space: SpaceSpec, doc) -> CompletionPoint:
     if isinstance(doc, str):
@@ -398,4 +611,4 @@ def point_from_json(space: SpaceSpec, doc) -> CompletionPoint:
             blocks.append(BOUNDARY)
         else:
             blocks.append((float(entry["theta"]), float(entry["xi"])))
-    return make_point(space, blocks)
+    return _definite(space, make_point(space, blocks))

@@ -2,11 +2,15 @@
 
 The metric is block diagonal across factors except for the optional
 ``b3 xi^3`` coupling of a perturbed horn's radial direction to the first
-Euclidean coordinate.  Every coefficient is a closed form in the chart
-coordinates, and so is its coordinate gradient: :func:`metric_batch` and
-:func:`metric_grad_batch` evaluate both over rows of chart points, and
-the connection coefficients are built from that exact gradient for every
-factor kind, coupled charts included.
+Euclidean coordinate.  Each 2-D block is ``f(s) dt^2 + h(s) ds^2`` with
+the warp profile its factor carries (horns and the hyperbolic plane
+alike); flat blocks have no profile and an identity block.  Every
+coefficient is a closed form in the chart coordinates, and so is its
+coordinate gradient: :func:`metric_batch` and :func:`metric_grad_batch`
+evaluate both over rows of chart points from a per-space layout of
+profiles, and the connection coefficients are built from that exact
+gradient for every factor kind, coupled charts included.  Curvatures
+come from the factors themselves.
 """
 
 from __future__ import annotations
@@ -15,96 +19,13 @@ import functools
 
 import numpy as np
 
-from ..errors import CurvatureUndefinedError, MetricSingularError
-from .spaces import (
-    CompletionPoint,
-    Euclidean,
-    Horn,
-    HornPoint,
-    HyperbolicPlane,
-    PerturbedHorn,
-    SpaceSpec,
-    chart_vector,
-    is_horn_like,
-)
+from ..errors import MetricSingularError
+from .spaces import CompletionPoint, SpaceSpec, chart_vector
 
 
 def _require_interior(point: CompletionPoint) -> None:
     if point.stratum():
         raise MetricSingularError("metric singular at stratum")
-
-
-# ---------------------------------------------------------------------------
-# warp profiles: g = f(xi) dtheta^2 + h(xi) dxi^2 for horn-type factors
-
-
-class WarpProfile:
-    """Coefficient functions of a rotationally symmetric horn-type block."""
-
-    def __init__(self, B=1.0, a4=0.0, c6=0.0):
-        self.B = float(B)
-        self.a4 = float(a4)
-        self.c6 = float(c6)
-
-    def f(self, xi):
-        if self.c6 == 0.0:
-            return self.B * xi**6
-        return self.B * xi**6 * (1.0 + self.c6 * xi**6)
-
-    def fp(self, xi):
-        return self.B * (6.0 * xi**5 + 12.0 * self.c6 * xi**11)
-
-    def fpp(self, xi):
-        return self.B * (30.0 * xi**4 + 132.0 * self.c6 * xi**10)
-
-    def h(self, xi):
-        if self.a4 == 0.0:
-            return 4.0 * self.B  # scalar broadcasts over node arrays
-        return 4.0 * self.B * (1.0 + self.a4 * xi**4)
-
-    def hp(self, xi):
-        return 16.0 * self.B * self.a4 * xi**3
-
-    def f_minus(self, xi, xi0, dx=None):
-        """``f(xi) - f(xi0)`` factored to survive cancellation at xi ~ xi0.
-
-        ``dx`` is the exactly known difference ``xi - xi0`` when the caller
-        has it (quadrature substitution nodes).
-        """
-        if dx is None:
-            dx = xi - xi0
-        p6 = xi**5 + xi**4 * xi0 + xi**3 * xi0**2 + xi**2 * xi0**3 + xi * xi0**4 + xi0**5
-        base = dx * p6
-        return self.B * base * (1.0 + self.c6 * (xi**6 + xi0**6))
-
-    def f_inv(self, value):
-        """Inverse of f on xi >= 0 (monotone)."""
-        if value <= 0.0:
-            return 0.0
-        xi = (value / self.B) ** (1.0 / 6.0)
-        if self.c6:
-            for _ in range(60):  # Newton; f is smooth and convex here
-                r = self.f(xi) - value
-                if abs(r) <= 1e-16 * value:
-                    break
-                xi -= r / self.fp(xi)
-        return xi
-
-    def curvature(self, xi):
-        f, fp, fpp = self.f(xi), self.fp(xi), self.fpp(xi)
-        h, hp = self.h(xi), self.hp(xi)
-        return -fpp / (2.0 * f * h) + fp * (fp * h + f * hp) / (4.0 * f**2 * h**2)
-
-
-HORN_PROFILE = WarpProfile()
-
-
-def warp_profile(factor) -> WarpProfile:
-    if isinstance(factor, Horn):
-        return HORN_PROFILE
-    if isinstance(factor, PerturbedHorn):
-        return WarpProfile(B=factor.B, a4=factor.a4, c6=factor.c6)
-    raise TypeError(f"not a horn-type factor: {factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +46,11 @@ def metric_at_chart(space: SpaceSpec, x: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _layout(space: SpaceSpec):
-    """``(dim, first Euclidean offset, ((factor, chart offset, warp profile
-    or None), ...))``, built once per space for the metric evaluators."""
-    blocks = tuple((f, sl.start, warp_profile(f) if is_horn_like(f) else None)
-                   for f, sl in zip(space.factors, space.chart_slices()))
+    """``(dim, first Euclidean offset, ((chart offset, dim, warp profile or
+    None, b3 or 0), ...))``, built once per space for the metric evaluators."""
+    coupled = space.coupled_ids
+    blocks = tuple((sl.start, f.dim, f.profile, f.b3 if i in coupled else 0.0)
+                   for i, (f, sl) in enumerate(zip(space.factors, space.chart_slices())))
     return space.dim, space.first_euclidean_offset(), blocks
 
 
@@ -140,22 +62,18 @@ def metric_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """
     d, eu_off, blocks = _layout(space)
     G = np.zeros(X.shape[:-1] + (d, d))
-    for factor, k, prof in blocks:
-        if isinstance(factor, Euclidean):
-            for j in range(k, k + factor.dim):
+    for k, n, prof, b3 in blocks:
+        if prof is None:
+            for j in range(k, k + n):
                 G[..., j, j] = 1.0
-        elif isinstance(factor, HyperbolicPlane):
-            inv = 1.0 / X.T[k + 1] ** 2
-            G[..., k, k] = inv
-            G[..., k + 1, k + 1] = inv
-        else:
-            xi = X.T[k + 1]
-            G[..., k, k] = prof.f(xi)
-            G[..., k + 1, k + 1] = prof.h(xi)
-            if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
-                cross = factor.b3 * xi**3
-                G[..., k + 1, eu_off] = cross
-                G[..., eu_off, k + 1] = cross
+            continue
+        s = X.T[k + 1]
+        G[..., k, k] = prof.f(s)
+        G[..., k + 1, k + 1] = prof.h(s)
+        if b3:
+            cross = b3 * s**3
+            G[..., k + 1, eu_off] = cross
+            G[..., eu_off, k + 1] = cross
     return G
 
 
@@ -167,21 +85,16 @@ def metric_grad_batch(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """
     d, eu_off, blocks = _layout(space)
     dG = np.zeros(X.shape[:-1] + (d, d, d))
-    for factor, k, prof in blocks:
-        if isinstance(factor, Euclidean):
+    for k, _, prof, b3 in blocks:
+        if prof is None:
             continue
-        if isinstance(factor, HyperbolicPlane):
-            dv = -2.0 / X.T[k + 1] ** 3
-            dG[..., k + 1, k, k] = dv
-            dG[..., k + 1, k + 1, k + 1] = dv
-        else:
-            xi = X.T[k + 1]
-            dG[..., k + 1, k, k] = prof.fp(xi)
-            dG[..., k + 1, k + 1, k + 1] = prof.hp(xi)
-            if isinstance(factor, PerturbedHorn) and factor.b3 > 0:
-                cross = 3.0 * factor.b3 * xi**2
-                dG[..., k + 1, k + 1, eu_off] = cross
-                dG[..., k + 1, eu_off, k + 1] = cross
+        s = X.T[k + 1]
+        dG[..., k + 1, k, k] = prof.fp(s)
+        dG[..., k + 1, k + 1, k + 1] = prof.hp(s)
+        if b3:
+            cross = 3.0 * b3 * s**2
+            dG[..., k + 1, k + 1, eu_off] = cross
+            dG[..., k + 1, eu_off, k + 1] = cross
     return dG
 
 
@@ -216,20 +129,5 @@ def curvature(space: SpaceSpec, point: CompletionPoint, factor: int | None = Non
     """
     _require_interior(point)
     if factor is not None:
-        return _factor_curvature(space.factors[factor], point.blocks[factor])
-    return [
-        _factor_curvature(f, b) for f, b in zip(space.factors, point.blocks)
-    ]
-
-
-def _factor_curvature(factor, block):
-    if isinstance(factor, Euclidean):
-        if factor.dim != 2:
-            raise CurvatureUndefinedError("curvature undefined for this factor")
-        return 0.0
-    if isinstance(factor, HyperbolicPlane):
-        return -1.0
-    assert isinstance(block, HornPoint)
-    if isinstance(factor, Horn):
-        return -1.5 / block.xi**2
-    return warp_profile(factor).curvature(block.xi)
+        return space.factors[factor].curvature(point.blocks[factor])
+    return [f.curvature(b) for f, b in zip(space.factors, point.blocks)]

@@ -26,12 +26,12 @@ from .geometry import (
     HornPoint,
     SpaceSpec,
     distance,
-    is_horn_like,
     make_point,
     midpoint,
+    point_along,
     points_equal,
 )
-from .geometry.spaces import _wire_parser
+from .geometry.spaces import _definite, _wire_parser
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,9 @@ def path_energy(path: DiscretePath) -> float:
     return n * sum(distance(path.space, a, b) ** 2 for a, b in path.segment_endpoints())
 
 
-def _min_horn_xi(space: SpaceSpec, nodes) -> float | None:
-    vals = []
-    for pt in nodes:
-        for i in space.horn_indices:
-            blk = pt.blocks[i]
-            if isinstance(blk, HornPoint):
-                vals.append(blk.xi)
-    return min(vals) if vals else None
+def _min_horn_xi(nodes) -> float | None:
+    return min((b.xi for pt in nodes for b in pt.blocks if isinstance(b, HornPoint)),
+               default=None)
 
 
 def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
@@ -169,7 +164,7 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
         if not boundary_declared and any(pt.stratum() for pt in updatable):
             escaped = True
             break
-        mx = _min_horn_xi(space, nodes)
+        mx = _min_horn_xi(nodes)
         if mx is not None:
             min_xi_series.append(mx)
             if mx <= XI_SNAP * (1.0 + 1e-9) and not boundary_declared:
@@ -243,21 +238,19 @@ def midpoint_competitor_test(u: DiscretePath, w: DiscretePath,
 def geodesic_nodes(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
                    n: int) -> DiscretePath:
     """Discretize the geodesic from p to q on n segments."""
-    from .geometry import point_along
+    return DiscretePath(space, _chord(space, p, q, n))
 
-    pts = [p] + [point_along(space, p, q, i / n) for i in range(1, n)] + [q]
-    return DiscretePath(space, tuple(pts))
+
+def _chord(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint, n: int) -> tuple:
+    return (p, *(point_along(space, p, q, i / n) for i in range(1, n)), q)
 
 
 def equivariant_seed(space: SpaceSpec, iso, base: CompletionPoint, n: int) -> DiscretePath:
     """Chord seed: the geodesic from a base point to its image, discretized."""
-    from .geometry import point_along
-
     image = iso.apply(base)
     if points_equal(base, image):
         raise ValueError("base point is fixed by the isometry")
-    pts = [base] + [point_along(space, base, image, i / n) for i in range(1, n)] + [image]
-    return DiscretePath(space, tuple(pts), periodic_shift=iso)
+    return DiscretePath(space, _chord(space, base, image, n), periodic_shift=iso)
 
 
 def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6,
@@ -292,57 +285,49 @@ def _double_nodes(path: DiscretePath) -> DiscretePath:
 
 
 # ---------------------------------------------------------------------------
-# CSV wire format: x column, per-block coordinates, boundary indicator per
-# horn factor; undefined coordinates of boundary rows stay empty
+# CSV wire format: x column, then each factor's columns (horn blocks carry a
+# boundary indicator, and the undefined coordinates of their boundary rows
+# stay empty)
 
 
 def _csv_header(space: SpaceSpec) -> list[str]:
-    cols = ["x"]
-    for i, factor in enumerate(space.factors):
-        if is_horn_like(factor):
-            cols += [f"f{i}_theta", f"f{i}_xi", f"f{i}_boundary"]
-        else:
-            cols += [f"f{i}_c{j}" for j in range(factor.dim)]
-    return cols
+    return ["x"] + [c for i, f in enumerate(space.factors) for c in f.csv_columns(i)]
+
+
+def point_cells(space: SpaceSpec, point: CompletionPoint) -> list[str]:
+    """The CSV cells of a point, factor by factor."""
+    return [c for f, blk in zip(space.factors, point.blocks) for c in f.csv_cells(blk)]
+
+
+def samples_to_csv(space: SpaceSpec, samples) -> str:
+    """CSV text of ``(x, point)`` samples: one header row, then one row each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_csv_header(space))
+    writer.writerows([repr(float(x))] + point_cells(space, pt) for x, pt in samples)
+    return buf.getvalue()
 
 
 def path_to_csv(path: DiscretePath) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(path.space))
     n = path.n_segments
-    for i, pt in enumerate(path.nodes):
-        row: list[str] = [repr(i / n)]
-        for factor, blk in zip(path.space.factors, pt.blocks):
-            if is_horn_like(factor):
-                if isinstance(blk, BoundaryPoint):
-                    row += ["", "", "1"]
-                else:
-                    row += [repr(blk.theta), repr(blk.xi), "0"]
-            else:
-                row += [repr(c) for c in blk]
-        writer.writerow(row)
-    return buf.getvalue()
+    return samples_to_csv(path.space, [(i / n, pt) for i, pt in enumerate(path.nodes)])
 
 
 @_wire_parser
 def path_from_csv(space: SpaceSpec, text: str, periodic_shift=None) -> DiscretePath:
+    header = _csv_header(space)
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _csv_header(space):
+    if not rows or rows[0] != header:
         raise ValueError("CSV header does not match the space layout")
+    widths = [len(f.csv_columns(i)) for i, f in enumerate(space.factors)]
     nodes = []
     for row in rows[1:]:
         k = 1
         blocks = []
-        for factor in space.factors:
-            if is_horn_like(factor):
-                theta_s, xi_s, bnd = row[k], row[k + 1], row[k + 2]
-                k += 3
-                blocks.append(None if bnd == "1" else (float(theta_s), float(xi_s)))
-            else:
-                blocks.append(tuple(float(c) for c in row[k:k + factor.dim]))
-                k += factor.dim
-        nodes.append(make_point(space, blocks))
+        for factor, n in zip(space.factors, widths):
+            blocks.append(factor.csv_block(row[k:k + n]))
+            k += n
+        nodes.append(_definite(space, make_point(space, blocks)))
     return DiscretePath(space, tuple(nodes), periodic_shift=periodic_shift)
 
 

@@ -1,0 +1,118 @@
+import json
+
+import numpy as np
+import pytest
+
+from hornlab.actions import isometry_from_json
+from hornlab.cli import main
+from hornlab.geometry import (
+    Euclidean,
+    HyperbolicPlane,
+    PerturbedHorn,
+    SpaceSpec,
+    make_point,
+    metric_tensor,
+    point_from_json,
+    space_from_json,
+)
+from hornlab.geometry.spaces import coupling_sum
+
+PERTURBED = {"kind": "perturbed_horn", "B": 1.0, "a4": 0.0, "b3": 0.0, "c6": 0.0}
+LONG_SPACE = json.dumps({"factors": [PERTURBED] * 3 + [{"kind": "euclidean", "dim": 1}]})
+LONG_POINT = json.dumps({"blocks": [{"kind": "interior", "theta": 0.0, "xi": 0.5}] * 3
+                         + [{"coords": [0.0]}]})
+
+
+def test_long_inline_json_is_not_taken_for_a_path(capsys):
+    assert len(LONG_SPACE) > 255  # longer than a file name may be
+    assert main(["tensor", "--space", LONG_SPACE, "--point", LONG_POINT]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["metric"]) == 7
+
+
+def test_json_file_path_still_loads(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(LONG_SPACE)
+    assert main(["tensor", "--space", str(path), "--point", LONG_POINT]) == 0
+    assert len(json.loads(capsys.readouterr().out)["metric"]) == 7
+
+
+def test_masur_unknown_pair_name_is_a_usage_error(capsys):
+    assert main(["masur", "--pairs", "foo,bar", "--num", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "normal" in err and "tangential" in err
+
+
+def test_mobius_matrix_must_be_2x2():
+    hyp = SpaceSpec((HyperbolicPlane(),))
+    doc = {"factor_actions": [{"kind": "mobius", "m": [[2, 0, 9], [0, 0.5, 9], [9, 9, 9]]}]}
+    with pytest.raises(ValueError, match="2x2"):
+        isometry_from_json(hyp, doc)
+    assert main(["classify", "--space", '{"factors":[{"kind":"hyperbolic"}]}',
+                 "--iso", json.dumps(doc)]) == 3
+
+
+@pytest.mark.parametrize("dim", [2.7, float("inf"), "x"])
+def test_euclidean_dim_must_be_an_integer(dim):
+    with pytest.raises(ValueError):
+        space_from_json({"factors": [{"kind": "euclidean", "dim": dim}]})
+
+
+def test_euclidean_dim_accepts_integral_values():
+    assert space_from_json({"factors": [{"kind": "euclidean", "dim": 2.0}]}) == \
+        SpaceSpec((Euclidean(2),))
+    assert main(["tensor", "--space", '{"factors":[{"kind":"euclidean","dim":2.7}]}',
+                 "--point", '{"blocks":[{"coords":[0.0,0.0]}]}']) == 3
+
+
+@pytest.mark.parametrize("entry", [0.7, float("inf"), "x"])
+def test_permutation_entries_must_be_integers(entry):
+    hyp = SpaceSpec((HyperbolicPlane(),))
+    doc = {"factor_actions": [{"kind": "mobius", "m": [[1, 0], [0, 1]]}], "permutation": [entry]}
+    with pytest.raises(ValueError):
+        isometry_from_json(hyp, doc)
+
+
+COUPLED = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
+COUPLED_DOC = json.dumps({"factors": [{"kind": "perturbed_horn", "B": 1.0, "b3": 0.3},
+                                      {"kind": "euclidean", "dim": 1}]})
+
+
+@pytest.mark.parametrize("xi, total", [(1.8, 0.765), (1.9, 1.059), (2.0, 1.44)])
+def test_coupling_sum_decides_positive_definiteness(xi, total):
+    p = make_point(COUPLED, [(0.0, xi), (0.0,)])
+    assert coupling_sum(COUPLED, p) == pytest.approx(total, abs=1e-3)
+    smallest = np.linalg.eigvalsh(metric_tensor(COUPLED, p))[0]
+    assert (smallest > 0) == (total < 1)
+
+
+def test_coupling_sum_on_two_coupled_horns():
+    space = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), PerturbedHorn(B=2.0, a4=0.1, b3=0.4),
+                       Euclidean(1)))
+    for xi1, xi2 in [(1.0, 1.0), (1.5, 1.4), (1.9, 0.5), (0.5, 1.7)]:
+        p = make_point(space, [(0.0, xi1), (0.3, xi2), (0.0,)])
+        smallest = np.linalg.eigvalsh(metric_tensor(space, p))[0]
+        assert (smallest > 0) == (coupling_sum(space, p) < 1)
+    assert coupling_sum(space, make_point(space, [None, None, (1.0,)])) == 0.0
+
+
+def test_indefinite_coupled_points_are_rejected(capsys):
+    def point(xi):
+        return json.dumps({"blocks": [{"kind": "interior", "theta": 0.0, "xi": xi},
+                                      {"coords": [0.0]}]})
+
+    with pytest.raises(ValueError, match="positive definite"):
+        point_from_json(COUPLED, point(2.0))
+    assert main(["tensor", "--space", COUPLED_DOC, "--point", point(2.0)]) == 3
+    assert main(["tensor", "--space", COUPLED_DOC, "--point", point(1.8)]) == 0
+
+
+def test_indefinite_coupled_csv_nodes_are_rejected(tmp_path):
+    path = tmp_path / "path.csv"
+    rows = ["x,f0_theta,f0_xi,f0_boundary,f1_c0", "0.0,0.0,0.5,0,0.0",
+            "0.5,0.0,{xi},0,0.5", "1.0,0.0,0.5,0,1.0"]
+    path.write_text("\n".join(rows).format(xi=2.0) + "\n")
+    argv = ["relax", "--space", COUPLED_DOC, "--path", str(path), "--max-iter", "1"]
+    assert main(argv) == 3
+    path.write_text("\n".join(rows).format(xi=0.6) + "\n")
+    assert main(argv) in (0, 2)
