@@ -35,6 +35,7 @@ from .geometry import (
     HyperbolicPlane,
     SpaceSpec,
     distance,
+    factor_distances,
     make_point,
     metric_tensor,
     point_along,
@@ -417,15 +418,24 @@ def _from_opt(space: SpaceSpec, u: np.ndarray) -> CompletionPoint:
     return make_point(space, blocks)
 
 
+# sizes and tolerances of the translation-length search
+STARTS = 32          # Nelder-Mead starts: the base point, then random ones
+BOX_LEVELS = 10      # random starts cycle through the boxes [-2^j, 2^j]^d, j <= 10
+NM_MAXITER = 160     # polish Nelder-Mead iterations per chart dimension
+PROBE_RADIUS = 1e-4  # certificate probe radius (the probes repeat at a tenth)
+IMPROVE_TOL = 1e-8   # least displacement drop that counts as an improvement
+RAY_HALVINGS = 44    # collapse-ray steps, each lowering every horn log-level by 2
+GROWTH_STEPS = 24    # infinity-ray steps, step k moving a coordinate by 2^(k/2)
+
+
 @dataclass(frozen=True)
 class SearchBudget:
-    starts: int = 32
-    box_levels: int = 10
-    nm_maxiter: int = 160
-    probe_radius: float = 1e-4
-    improve_tol: float = 1e-8
-    ray_halvings: int = 44
-    growth_steps: int = 24
+    """Seed of the translation-length search's random starts and probes.
+
+    ``seed`` is the only field: every caller runs the search with the same
+    sizes and tolerances, so those are the module constants above.
+    """
+
     seed: int = 0
 
 
@@ -475,7 +485,7 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     """Gauss-Newton on the transformed-chart displacement residual.
 
     Finds exact interior fixed points (the periodic cell) when they
-    exist; returns (point, displacement) or None.
+    exist; returns (displacement, point) or None.
     """
     space = iso.space
     d = space.dim
@@ -501,7 +511,7 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
                     p = _from_opt(space, u)
                     f = displacement(iso, p)
                     if f < 1e-12:
-                        return p, f
+                        return f, p
                 break
             delta = 1e-7
             J = np.empty((d, d))
@@ -523,6 +533,68 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     return None
 
 
+def _polish(F, u0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Fine Nelder-Mead run from ``u0``: ``(value, point)``."""
+    res = minimize(
+        F, u0, method="Nelder-Mead",
+        options={"maxiter": NM_MAXITER * len(u0), "xatol": 1e-9, "fatol": 1e-13},
+    )
+    return float(res.fun), res.x
+
+
+def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: float):
+    """Ray from ``u`` whose step k adds ``steps[k]`` to ``u[slots]``.
+
+    None as soon as ``F`` rises by more than ``1e-12 (1 + |ref|)`` over the
+    previous value (``val`` before the first step), else ``(points,
+    displacements, whether any step strictly decreased, last u)``.
+    """
+    tol_up = 1e-12 * (1.0 + abs(ref))
+    pts, vals, strict = [], [], False
+    for dx in steps:
+        u = u.copy()
+        u[slots] += dx
+        v = F(u)
+        if v > val + tol_up:
+            return None
+        strict = strict or v < val
+        val = v
+        pts.append(_from_opt(space, u))
+        vals.append(v)
+    return pts, vals, strict, u
+
+
+def _escape_witness(hits, horns) -> EscapeWitness | None:
+    """Last four entries of the ``(points, displacements)`` hit ending
+    lowest (the first on ties), or None; no ``horns`` means an escape to
+    infinity."""
+    hits = [h for h in hits if h is not None]
+    if not hits:
+        return None
+    pts, vals = min(hits, key=lambda h: h[1][-1])
+    return EscapeWitness(points=pts[-4:], displacements=vals[-4:],
+                         collapsing_horns=tuple(horns), unbounded=not horns)
+
+
+def _certificate_probe(F, u: np.ndarray, val: float, rng: np.random.Generator):
+    """First trust-region probe around ``u`` that beats ``val`` by more
+    than ``IMPROVE_TOL``, or None: both signs of every chart coordinate,
+    then 8 random directions, at ``PROBE_RADIUS`` and then a tenth of it."""
+    d = len(u)
+    for r in (PROBE_RADIUS, PROBE_RADIUS / 10.0):
+        for slot in range(d):
+            for sgn in (1.0, -1.0):
+                w = u.copy()
+                w[slot] += sgn * r
+                if F(w) < val - IMPROVE_TOL:
+                    return w
+        for _ in range(8):
+            w = u + rng.standard_normal(d) * r
+            if F(w) < val - IMPROVE_TOL:
+                return w
+    return None
+
+
 def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
                        ) -> TranslationLengthResult:
     """Infimum of the displacement over interior points.
@@ -537,28 +609,33 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     backs any attainment claim.  Returns status "inconclusive" when
     neither a certificate nor escape evidence materializes in budget.
     """
-    from .geometry import factor_distances
-
-    space = iso.space
-    rng = np.random.default_rng(budget.seed)
     evals = 0
 
     def F(u: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        return displacement(iso, _from_opt(space, u))
+        return displacement(iso, _from_opt(iso.space, u))
 
+    L, witness = _search(iso, F, np.random.default_rng(budget.seed))
+    return TranslationLengthResult(
+        L_estimate=L, attained=isinstance(witness, CompletionPoint), witness=witness,
+        status="ok" if witness is not None else "inconclusive", evaluations=evals,
+    )
+
+
+def _search(iso: Isometry, F, rng: np.random.Generator):
+    """The phases of :func:`translation_length` in order until one decides:
+    ``(L estimate, witness)``, the witness a minimizer when attained, an
+    :class:`EscapeWitness` when escaping and None when inconclusive."""
+    space = iso.space
     fixed = _fixed_point_search(iso, rng)
     if fixed is not None:
-        return TranslationLengthResult(
-            L_estimate=fixed[1], attained=True, witness=fixed[0],
-            status="ok", evaluations=evals,
-        )
+        return fixed
 
     d = space.dim
     starts = [_to_opt(space, base_point(space))]
-    for s in range(budget.starts - 1):
-        j = s % (budget.box_levels + 1)
+    for s in range(STARTS - 1):
+        j = s % (BOX_LEVELS + 1)
         starts.append(rng.uniform(-(2.0**j), 2.0**j, d))
 
     # coarse phase on every start, then polish the most promising few;
@@ -570,81 +647,48 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
             F, u0, method="Nelder-Mead",
             options={"maxiter": 50 * d, "xatol": 1e-6, "fatol": 1e-10},
         )
-        coarse.append((float(res.fun), res.x.copy()))
+        coarse.append((float(res.fun), res.x))
     coarse.sort(key=lambda t: t[0])
     best_u, best_val = None, math.inf
     int_u, int_val = None, math.inf
     polish = coarse[:6] + [t for t in coarse[6:] if _is_interior_candidate(space, t[1])][:2]
     for _, u0 in polish:
-        res = minimize(
-            F, u0, method="Nelder-Mead",
-            options={"maxiter": budget.nm_maxiter * d, "xatol": 1e-9, "fatol": 1e-13},
-        )
-        val = float(res.fun)
+        val, u = _polish(F, u0)
         if best_u is None or val < best_val - 1e-12:
-            best_val, best_u = val, res.x.copy()
-        elif val < best_val + 1e-12 and _interiority(space, res.x) > _interiority(space, best_u):
-            best_val, best_u = min(val, best_val), res.x.copy()
-        if _is_interior_candidate(space, res.x) and val < int_val:
-            int_val, int_u = val, res.x.copy()
+            best_val, best_u = val, u
+        elif val < best_val + 1e-12 and _interiority(space, u) > _interiority(space, best_u):
+            best_val, best_u = min(val, best_val), u
+        if _is_interior_candidate(space, u) and val < int_val:
+            int_val, int_u = val, u
     # interior candidates only count when they compete with the optimum
-    if int_u is not None and int_val > best_val + max(budget.improve_tol, 1e-6 * best_val):
+    if int_u is not None and int_val > best_val + max(IMPROVE_TOL, 1e-6 * best_val):
         int_u, int_val = None, math.inf
 
-    horn_log_slots = space.xi_offsets  # the opt chart keeps the chart layout
+    horn_log_slots = list(space.xi_offsets)  # the opt chart keeps the chart layout
 
-    def horn_part(u: np.ndarray) -> float:
+    def horn_part(u: np.ndarray) -> float:  # only called when there are horns
         p = _from_opt(space, u)
         parts = factor_distances(space, p, iso.apply(p))
-        if parts is None:
-            return 0.0
-        vals = [parts[i] for i in space.horn_indices]
-        return max(vals) if vals else 0.0
+        return 0.0 if parts is None else max(parts[i] for i in space.horn_indices)
 
-    def collapse_probe(u_src, v_src):
-        """Drive all horn coordinates down; evidence needs the total to
-        never increase while the horn contribution strictly collapses."""
+    # collapse rays drive every horn coordinate down; evidence needs the
+    # total to never increase while the horn contribution collapses
+    sources = [(best_u, best_val)]
+    if int_u is not None and not np.array_equal(int_u, best_u):
+        sources.append((int_u, int_val))
+    hits = []
+    for u_src, v_src in sources if horn_log_slots else ():
         u = _to_opt(space, _from_opt(space, u_src))  # canonical through clamps
         h0 = horn_part(u)
         if h0 <= 0.0:
-            return None
-        pts, vals = [], []
-        val_prev = F(u)
-        tol_up = 1e-12 * (1.0 + abs(v_src))
-        for _ in range(budget.ray_halvings):
-            u = u.copy()
-            for slot in horn_log_slots:
-                u[slot] -= 2.0
-            v = F(u)
-            if v > val_prev + tol_up:
-                return None
-            val_prev = v
-            pts.append(_from_opt(space, u))
-            vals.append(v)
-        if horn_part(u) > 1e-3 * h0:
-            return None
-        return pts, vals
-
-    escape_val, escape_seq = math.inf, None
-    if horn_log_slots:
-        sources = [(best_u, best_val)]
-        if int_u is not None and not np.array_equal(int_u, best_u):
-            sources.append((int_u, int_val))
-        for u_src, v_src in sources:
-            hit = collapse_probe(u_src, v_src)
-            if hit is not None and hit[1][-1] < escape_val:
-                pts, vals = hit
-                escape_val = vals[-1]
-                escape_seq = EscapeWitness(
-                    points=pts[-4:], displacements=vals[-4:],
-                    collapsing_horns=tuple(space.horn_indices), unbounded=False,
-                )
-    ref_val = min(best_val, int_val)
-    if escape_seq is not None and escape_val <= ref_val + 1e-12 * (1.0 + abs(ref_val)):
-        return TranslationLengthResult(
-            L_estimate=min(best_val, escape_val),
-            attained=False, witness=escape_seq, status="ok", evaluations=evals,
-        )
+            continue
+        walk = _descend(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), v_src)
+        if walk is not None and horn_part(walk[3]) <= 1e-3 * h0:
+            hits.append(walk[:2])
+    escape = _escape_witness(hits, space.horn_indices)
+    ref = min(best_val, int_val)
+    if escape is not None and escape.displacements[-1] <= ref + 1e-12 * (1.0 + abs(ref)):
+        return min(best_val, escape.displacements[-1]), escape
 
     if int_u is None:
         # every competitive candidate hugs a search clamp
@@ -652,86 +696,28 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
         at_floor = any(
             isinstance(b, HornPoint) and b.xi < XI_ATTAIN for b in best_point.blocks
         )
-        return TranslationLengthResult(
-            L_estimate=best_val, attained=False,
-            witness=EscapeWitness(
-                points=[best_point], displacements=[best_val],
-                collapsing_horns=tuple(space.horn_indices) if at_floor else (),
-                unbounded=not at_floor,
-            ),
-            status="ok", evaluations=evals,
-        )
-
-    def infinity_probe(slot, sgn):
-        u = int_u.copy()
-        pts, vals = [], []
-        val_prev = int_val
-        any_strict = False
-        tol_up = 1e-12 * (1.0 + abs(int_val))
-        for step in range(1, budget.growth_steps + 1):
-            u = u.copy()
-            u[slot] += sgn * 2.0 ** (step / 2.0)
-            v = F(u)
-            if v > val_prev + tol_up:
-                return None
-            if v < val_prev:
-                any_strict = True
-            val_prev = v
-            pts.append(_from_opt(space, u))
-            vals.append(v)
-        if not any_strict:
-            return None
-        return pts, vals
+        return best_val, _escape_witness([([best_point], [best_val])],
+                                         space.horn_indices if at_floor else ())
 
     # rays to infinity: every direction except driving a horn level down,
-    # which the collapse probe owns
-    inf_val, inf_seq = math.inf, None
+    # which the collapse rays own
+    hits = []
     for slot in range(d):
-        signs = (1.0,) if slot in horn_log_slots else (1.0, -1.0)
-        for sgn in signs:
-            hit = infinity_probe(slot, sgn)
-            if hit is not None and hit[1][-1] < inf_val:
-                pts, vals = hit
-                inf_val = vals[-1]
-                inf_seq = EscapeWitness(
-                    points=pts[-4:], displacements=vals[-4:],
-                    collapsing_horns=(), unbounded=True,
-                )
-    if inf_seq is not None and inf_val < max(0.5 * int_val, int_val - 1e-10):
-        return TranslationLengthResult(
-            L_estimate=min(best_val, inf_val), attained=False, witness=inf_seq,
-            status="ok", evaluations=evals,
-        )
+        for sgn in (1.0,) if slot in horn_log_slots else (1.0, -1.0):
+            steps = [sgn * 2.0 ** (k / 2.0) for k in range(1, GROWTH_STEPS + 1)]
+            walk = _descend(F, space, int_u, slot, steps, int_val, int_val)
+            if walk is not None and walk[2]:
+                hits.append(walk[:2])
+    escape = _escape_witness(hits, ())
+    if escape is not None and escape.displacements[-1] < max(0.5 * int_val, int_val - 1e-10):
+        return min(best_val, escape.displacements[-1]), escape
 
-    # trust-region certificate at the interior candidate
-    improved = None
-    for r in (budget.probe_radius, budget.probe_radius / 10.0):
-        for slot in range(d):
-            for sgn in (1.0, -1.0):
-                u = int_u.copy()
-                u[slot] += sgn * r
-                if F(u) < int_val - budget.improve_tol:
-                    improved = u
-                    break
-        for _ in range(8):
-            u = int_u + rng.standard_normal(d) * r
-            if F(u) < int_val - budget.improve_tol:
-                improved = u
-                break
+    improved = _certificate_probe(F, int_u, int_val, rng)
     if improved is not None:
-        res = minimize(
-            F, improved, method="Nelder-Mead",
-            options={"maxiter": budget.nm_maxiter * d, "xatol": 1e-9, "fatol": 1e-13},
-        )
-        if res.fun < int_val - budget.improve_tol:
-            return TranslationLengthResult(
-                L_estimate=float(res.fun), attained=False, witness=None,
-                status="inconclusive", evaluations=evals,
-            )
-    return TranslationLengthResult(
-        L_estimate=int_val, attained=True, witness=_from_opt(space, int_u),
-        status="ok", evaluations=evals,
-    )
+        val, _ = _polish(F, improved)
+        if val < int_val - IMPROVE_TOL:
+            return val, None
+    return int_val, _from_opt(space, int_u)
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +825,7 @@ class Axis:
 
 
 def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
-         *, max_iter: int = 200_000, reference_distance=None,
-         length_tol: float = 1e-6) -> Axis:
+         *, max_iter: int = 200_000, reference_distance=None) -> Axis:
     """Flow an equivariant seed to the axis of a positive-translation
     isometry.
 
@@ -855,7 +840,7 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
         sups.append(max(reference_distance(p) for p in nodes))
 
     flowed, report = refine_flow(
-        seed_path, tol=tol, max_iter=max_iter, length_tol=length_tol,
+        seed_path, tol=tol, max_iter=max_iter,
     ) if reference_distance is None else heat_flow(
         seed_path, max_iter=max_iter, tol=tol, on_iterate=watch,
     )
@@ -1044,14 +1029,17 @@ class PropernessReport:
         return any(e.unbounded_evidence for e in self.entries)
 
 
+#: A sublevel reaching this far from the base point counts as unbounded.
+ESCAPE_RADIUS = 64.0
+
+
 def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 3000,
-                     *, seed: int = 0, escape_radius: float = 64.0,
-                     base: CompletionPoint | None = None) -> PropernessReport:
+                     *, seed: int = 0) -> PropernessReport:
     """Estimate sup d(p0, p) over the sublevel {max_i d(p, g_i p) <= M}.
 
     Randomized box sampling (boundary-biased via the log chart) plus hill
-    climbing away from the base point; a sublevel reaching past
-    ``escape_radius`` counts as unbounded evidence.
+    climbing away from the base point p0 (:func:`base_point`); a sublevel
+    reaching past ``ESCAPE_RADIUS`` counts as unbounded evidence.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -1059,7 +1047,7 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
     for g in generators[1:]:
         if g.space != space:
             raise ValueError("generators live on different spaces")
-    p0 = base if base is not None else base_point(space)
+    p0 = base_point(space)
     rng = np.random.default_rng(seed)
     d = space.dim
 
@@ -1085,7 +1073,7 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
                     r = distance(space, p0, p)
                     radius = max(radius, r)
                     frontier.append(u)
-                    if r > escape_radius:
+                    if r > ESCAPE_RADIUS:
                         unbounded = True
                         break
             if unbounded:
@@ -1109,7 +1097,7 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
                             step = min(step * 1.6, 16.0)
                             stalls = 0
                             radius = max(radius, r)
-                            if r > escape_radius:
+                            if r > ESCAPE_RADIUS:
                                 unbounded = True
                             continue
                     step = max(step * 0.6, 1e-3)

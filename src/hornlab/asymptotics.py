@@ -29,6 +29,10 @@ import numpy as np
 
 from .errors import QuadratureError
 
+COLLAR = (0.5, 1.0)     # radii of the gluing band of the grafted density
+BAND_SAMPLES = 400      # radii sampled across the band by graft_band_sup
+PAIRING_REL_TOL = 1e-6  # relative change under grid doubling that settles a pairing
+
 
 @dataclass(frozen=True)
 class AnnulusSpec:
@@ -109,15 +113,14 @@ def _blend(u: float) -> float:
     return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
-def grafted_ratio(z: complex, t: complex, collar: tuple[float, float] = (0.5, 1.0)
-                  ) -> float:
-    """rho0 / rho_graft on the gluing band.
+def grafted_ratio(z: complex, t: complex) -> float:
+    """rho0 / rho_graft on the gluing band ``COLLAR``.
 
     The grafted density interpolates from the annulus density at the
     inner collar radius to the cusp density at the outer edge through a
     C^2 quintic blend; outside the band the ratio is undefined.
     """
-    lo, hi = collar
+    lo, hi = COLLAR
     r = abs(z)
     if not (lo <= r <= hi):
         raise ValueError("point outside the gluing band")
@@ -128,15 +131,14 @@ def grafted_ratio(z: complex, t: complex, collar: tuple[float, float] = (0.5, 1.
     return 1.0 / ((1.0 - chi) * factor + chi)
 
 
-def graft_band_sup(t: complex, collar: tuple[float, float] = (0.5, 1.0),
-                   n_samples: int = 400) -> tuple[float, float]:
+def graft_band_sup(t: complex) -> tuple[float, float]:
     """sup |ratio - 1| over the band and the same sup normalized by
     Theta^2 at the inner collar radius (the band's largest Theta)."""
-    lo, hi = collar
-    rs = np.linspace(lo, hi, n_samples)
+    lo, hi = COLLAR
+    rs = np.linspace(lo, hi, BAND_SAMPLES)
     sup = 0.0
     for r in rs:
-        sup = max(sup, abs(grafted_ratio(complex(r, 0.0), t, collar) - 1.0))
+        sup = max(sup, abs(grafted_ratio(complex(r, 0.0), t) - 1.0))
     theta_lo = math.pi * math.log(lo) / math.log(abs(t))
     return sup, sup / theta_lo**2
 
@@ -185,12 +187,11 @@ def _pairing_on_grid(i: DifferentialModel, j: DifferentialModel, spec: AnnulusSp
 
 
 def cometric_pairing(i: DifferentialModel, j: DifferentialModel, t: complex,
-                     spec: AnnulusSpec | None = None, *, rel_tol: float = 1e-6
-                     ) -> float:
+                     spec: AnnulusSpec | None = None) -> float:
     """Envelope pairing of two differential models over the annulus.
 
     Richardson-extrapolated Simpson rule; raises QuadratureError when
-    grid doubling still moves the value by more than ``rel_tol``.
+    grid doubling still moves the value by more than ``PAIRING_REL_TOL``.
     """
     if spec is None:
         spec = AnnulusSpec(t=t)
@@ -201,7 +202,7 @@ def cometric_pairing(i: DifferentialModel, j: DifferentialModel, t: complex,
         coarse = _pairing_on_grid(i, j, spec, n_r)
         fine = _pairing_on_grid(i, j, spec, 2 * n_r)
         rich = fine + (fine - coarse) / 15.0
-        if abs(fine - coarse) <= rel_tol * max(abs(rich), 1e-300):
+        if abs(fine - coarse) <= PAIRING_REL_TOL * max(abs(rich), 1e-300):
             return rich
         n_r *= 2
     raise QuadratureError("pairing quadrature did not settle", coarse=coarse, fine=fine)
@@ -282,8 +283,7 @@ class PairingMetricTable:
     G_tt: list[float]
 
 
-def metric_from_pairings(t_grid, *, c: float = 1.0, n_r: int = 256, n_phi: int = 64
-                         ) -> PairingMetricTable:
+def metric_from_pairings(t_grid, *, n_r: int = 256, n_phi: int = 64) -> PairingMetricTable:
     """Invert the 2x2 (normal, tangential) pairing matrix per t.
 
     Cofactor rule; the diagonal dominance of the pairing matrix as t -> 0
@@ -291,7 +291,7 @@ def metric_from_pairings(t_grid, *, c: float = 1.0, n_r: int = 256, n_phi: int =
     """
     rows = {k: [] for k in ("P_nn", "P_nt", "P_tt", "G_nn", "G_nt", "G_tt")}
     for t in t_grid:
-        spec = AnnulusSpec(t=t, c=c, n_r=n_r, n_phi=n_phi)
+        spec = AnnulusSpec(t=t, n_r=n_r, n_phi=n_phi)
         p_nn = cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.NORMAL, t, spec)
         p_nt = cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.TANGENTIAL, t, spec)
         p_tt = cometric_pairing(DifferentialModel.TANGENTIAL, DifferentialModel.TANGENTIAL, t, spec)
@@ -322,12 +322,11 @@ class SubstitutionReport:
 
 
 def substitution_check(t_grid, G_values=None, C: float | None = None,
-                       *, c: float = 1.0, n_r: int = 256, n_phi: int = 64
-                       ) -> SubstitutionReport:
+                       *, n_r: int = 256, n_phi: int = 64) -> SubstitutionReport:
     """Pull the radial metric G(t) |dt|^2 back through xi = (-log|t|)^(-1/2).
 
-    With s = -log|t| the flat factor |dt|^2 = e^{-2s} (ds^2 + dtheta^2)
-    and the finite-difference Jacobian of s(xi) turn the coefficient into
+    With s = -log|t| = xi^-2 the flat factor |dt|^2 = e^{-2s} (ds^2 +
+    dtheta^2) and the Jacobian ds/dxi = -2 xi^-3 turn the coefficient into
     ``G e^{-2s} (ds/dxi)^2 dxi^2 + G e^{-2s} dtheta^2``; for the model
     scaling ``G = C |t|^-2 s^-3`` this is exactly ``4C dxi^2 + C xi^6
     dtheta^2``.  Ratios against those targets and their convergence rates
@@ -335,7 +334,7 @@ def substitution_check(t_grid, G_values=None, C: float | None = None,
     """
     t_abs = [float(abs(t)) for t in t_grid]
     if G_values is None:
-        table = metric_from_pairings(t_grid, c=c, n_r=n_r, n_phi=n_phi)
+        table = metric_from_pairings(t_grid, n_r=n_r, n_phi=n_phi)
         G_values = table.G_nn
     if C is None:
         C = 3.0 / (2.0 * math.pi)  # reciprocal of the (2 pi / 3) pairing amplitude
@@ -343,8 +342,7 @@ def substitution_check(t_grid, G_values=None, C: float | None = None,
     for t, G in zip(t_abs, G_values):
         s = -math.log(t)
         xi = s ** (-0.5)
-        dxi = 1e-6 * xi
-        ds_dxi = ((xi + dxi) ** (-2.0) - (xi - dxi) ** (-2.0)) / (2.0 * dxi)
+        ds_dxi = -2.0 * xi ** (-3.0)
         e2s = t * t  # e^{-2s} exactly
         coeff_xx = G * e2s * ds_dxi * ds_dxi
         coeff_tt = G * e2s

@@ -174,8 +174,8 @@ def cmd_diverge(args) -> int:
     iso2 = isometry_from_json(space, _load_json_arg(args.iso2))
     base = point_from_json(space, _load_json_arg(args.base))
     r_grid = [float(v) for v in args.rgrid.split(",")]
-    ax1 = compute_axis(iso1, equivariant_seed(space, iso1, base, args.nodes))
-    ax2 = compute_axis(iso2, equivariant_seed(space, iso2, base, args.nodes))
+    ax1 = compute_axis(iso1, equivariant_seed(space, iso1, base, args.nodes), tol=args.tol)
+    ax2 = compute_axis(iso2, equivariant_seed(space, iso2, base, args.nodes), tol=args.tol)
     prof = divergence_profile(ax1, ax2, r_grid)
     out = _out_dir(args)
     if out is not None:
@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         if space:
             p.add_argument("--space", required=True, help="space JSON (file or inline)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("tensor", help="metric tensor at a point")
     common(p)
@@ -316,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True)
     p.add_argument("--iso", default=None, help="equivariant shift isometry JSON")
     p.add_argument("--max-iter", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_relax)
 
     p = sub.add_parser("axis", help="equivariant axis by heat flow")
@@ -323,11 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", required=True)
     p.add_argument("--base", required=True, help="seed base point JSON")
     p.add_argument("--nodes", type=int, default=16)
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_axis)
 
     p = sub.add_parser("classify", help="translation-length classification")
     common(p)
     p.add_argument("--iso", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("diverge", help="divergence profile of two axes")
@@ -337,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--rgrid", default="2,3,4,5,6,7,8,9,10")
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_diverge)
 
     p = sub.add_parser("proper", help="sublevel boundedness of a generating set")
@@ -344,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isos", required=True, help="JSON list of isometries")
     p.add_argument("--mgrid", default="2,3,4")
     p.add_argument("--budget", type=int, default=3000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_proper)
 
     p = sub.add_parser("masur", help="cometric pairings over a t grid")

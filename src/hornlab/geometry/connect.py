@@ -519,6 +519,12 @@ def _warp_connect(prof: WarpProfile, a, b):
 # ---------------------------------------------------------------------------
 # coupled charts: two-stage generic solver
 
+SHOOT_TOL = 1e-10     # shooting residual, relative to 1 + |target chart point|
+CS_MAX_LEVEL = 12     # curve shortening refines up to 2^12 + 1 nodes
+CS_LENGTH_TOL = 1e-9  # relative length change that ends the refinement
+CS_GRAD_TOL = 1e-13   # energy gradient, relative to max(1, energy), at rest
+CS_INNER_ITERS = 120  # descent steps per refinement level
+
 
 def _shoot_endpoint(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
     p0 = point_from_chart(space, x0)
@@ -532,13 +538,14 @@ def _shoot_endpoint(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
 
 
 def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
-                     *, n_guesses: int = 8, newton_iters: int = 30,
-                     tol: float = 1e-10):
+                     *, n_guesses: int = 8, newton_iters: int = 30):
     """Damped-Newton shooting on the initial velocity over the full chart.
 
-    Returns ``(initial velocity, length)``; raises ConnectError when the
-    guess budget is exhausted.  Initial guesses are the chart chord and
-    its rotations by +-30 degrees in successive coordinate planes.
+    Returns ``(initial velocity, length)`` once the endpoint residual is
+    within ``SHOOT_TOL``, checked before each of the ``newton_iters``
+    steps and after the last; raises ConnectError when the guess budget
+    is exhausted.  Initial guesses are the chart chord and its rotations
+    by +-30 degrees in successive coordinate planes.
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
@@ -555,7 +562,7 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
                 r[i] = math.cos(ang) * chord[i] - sgn * math.sin(ang) * chord[j]
                 r[j] = sgn * math.sin(ang) * chord[i] + math.cos(ang) * chord[j]
                 guesses.append(r)
-    scale = 1.0 + float(np.linalg.norm(x1))
+    tol = SHOOT_TOL * (1.0 + float(np.linalg.norm(x1)))
     for v0 in guesses:
         v = v0.astype(float)
         end = _shoot_endpoint(space, x0, v)
@@ -563,9 +570,8 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
             continue
         res = float(np.linalg.norm(end - x1))
         for _ in range(newton_iters):
-            if res <= tol * scale:
-                length = math.sqrt(v @ metric_at_chart(space, x0) @ v)
-                return v, length
+            if res <= tol:
+                break
             delta = 1e-7 * max(1.0, float(np.linalg.norm(v)))
             J = np.empty((d, d))
             usable = True
@@ -597,11 +603,8 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
                 lam *= 0.5
             if not improved:
                 break
-        else:
-            continue
-        if res <= tol * scale:
-            length = math.sqrt(v @ metric_at_chart(space, x0) @ v)
-            return v, length
+        if res <= tol:
+            return v, math.sqrt(v @ metric_at_chart(space, x0) @ v)
     chord_nodes = np.linspace(0.0, 1.0, 65)[:, None] * (x1 - x0)[None, :] + x0[None, :]
     chord_len = float(np.sum(np.sqrt(_segment_sq_lengths(space, chord_nodes))))
     raise ConnectError(
@@ -675,10 +678,8 @@ def _energy_gradient(space: SpaceSpec, nodes: np.ndarray) -> np.ndarray:
     return flux[:-1] - flux[1:] + force[:-1] + force[1:]
 
 
-def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
-                             *, m_max: int = 12, length_tol: float = 1e-9,
-                             grad_tol: float = 1e-13, inner_iters: int = 120):
-    """Curve-shortening fallback on 2^m + 1 chart nodes, m up to 12.
+def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint):
+    """Curve-shortening fallback on 2^m + 1 chart nodes, m up to ``CS_MAX_LEVEL``.
 
     Damped Newton-type descent on the discrete energy: steps solve the
     frozen-metric block-tridiagonal system (the dominant part of the
@@ -698,12 +699,12 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
     prev_len = None
     length = None
 
-    for m in range(4, m_max + 1):
+    for m in range(4, CS_MAX_LEVEL + 1):
         energy = _polyline_energy(space, nodes)
         scale = max(1.0, float(np.max(np.abs(nodes))))
-        for _ in range(inner_iters):
+        for _ in range(CS_INNER_ITERS):
             grad = _energy_gradient(space, nodes)
-            if float(np.max(np.abs(grad))) < grad_tol * max(1.0, energy):
+            if float(np.max(np.abs(grad))) < CS_GRAD_TOL * max(1.0, energy):
                 break
             G = metric_batch(space, 0.5 * (nodes[1:] + nodes[:-1]))
             A = np.concatenate([np.zeros((1, d, d)), -2.0 * G[1:-1]])
@@ -726,7 +727,7 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
             if not moved or float(np.max(np.abs(lam * step))) < 1e-14 * scale:
                 break
         length = float(np.sum(np.sqrt(_segment_sq_lengths(space, nodes))))
-        if prev_len is not None and abs(length - prev_len) < length_tol * max(1.0, length):
+        if prev_len is not None and abs(length - prev_len) < CS_LENGTH_TOL * max(1.0, length):
             length = length + (length - prev_len) / 3.0
             break
         prev_len = length

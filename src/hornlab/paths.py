@@ -33,6 +33,10 @@ from .geometry import (
 )
 from .geometry.spaces import _definite, _wire_parser
 
+COMPETITOR_TOL = 1e-7     # slack the midpoint competitor inequality may lose
+REFINE_LENGTH_TOL = 1e-6  # refine_flow: a length change this small has settled
+REFINE_DOUBLINGS = 4      # refine_flow: most node doublings
+
 
 @dataclass(frozen=True)
 class DiscretePath:
@@ -200,13 +204,12 @@ class CompetitorReport:
     holds: bool
 
 
-def midpoint_competitor_test(u: DiscretePath, w: DiscretePath,
-                             tol: float = 1e-7) -> CompetitorReport:
+def midpoint_competitor_test(u: DiscretePath, w: DiscretePath) -> CompetitorReport:
     """Check the quadrilateral comparison satisfied by pointwise midpoints.
 
     With m_i = midpoint(u_i, w_i) the NPC inequality reads
     ``2 E(m) <= E(u) + E(w) - (1/2) sum N (d(u_i, w_i) - d(u_{i+1}, w_{i+1}))^2``;
-    the report carries the slack (RHS - LHS).
+    the report carries the slack (RHS - LHS), held down to -COMPETITOR_TOL.
     """
     if u.space is not w.space and u.space != w.space:
         raise ValueError("paths live in different spaces")
@@ -231,7 +234,7 @@ def midpoint_competitor_test(u: DiscretePath, w: DiscretePath,
         energy_mid=em,
         quadratic_term=quad,
         slack=slack,
-        holds=slack >= -tol,
+        holds=slack >= -COMPETITOR_TOL,
     )
 
 
@@ -253,22 +256,21 @@ def equivariant_seed(space: SpaceSpec, iso, base: CompletionPoint, n: int) -> Di
     return DiscretePath(space, _chord(space, base, image, n), periodic_shift=iso)
 
 
-def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6,
-                length_tol: float = 1e-6, max_doublings: int = 4
+def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6
                 ) -> tuple[DiscretePath, FlowReport]:
     """Flow, then double the node count until the length settles.
 
     Starts from the given path (N typically 16) and stops when one
-    doubling changes the converged length by less than ``length_tol``.
+    doubling changes the converged length by less than ``REFINE_LENGTH_TOL``.
     """
     flowed, report = heat_flow(path, max_iter=max_iter, tol=tol)
-    for _ in range(max_doublings):
+    for _ in range(REFINE_DOUBLINGS):
         if report.escaped:
             break
         prev_len = report.final_length
         flowed = _double_nodes(flowed)
         flowed, report = heat_flow(flowed, max_iter=max_iter, tol=tol)
-        if abs(report.final_length - prev_len) < length_tol:
+        if abs(report.final_length - prev_len) < REFINE_LENGTH_TOL:
             break
     return flowed, report
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hornlab.actions as actions_mod
 from hornlab.actions import (
     Axis,
     EuclideanAction,
@@ -388,3 +389,33 @@ def test_properness_single_translation_unbounded():
 def test_properness_single_hyperbolic_unbounded():
     rep = properness_probe([z4()], [2.0], 2500, seed=0)
     assert rep.entries[0].unbounded_evidence  # the whole axis is admissible
+
+
+def test_certificate_probe_stops_at_first_improvement():
+    calls = []
+
+    def F(u):
+        calls.append(u)
+        return 0.0  # every probe improves on the value 1
+
+    u = np.array([0.3, -0.2, 1.5])
+    w = actions_mod._certificate_probe(F, u, 1.0, np.random.default_rng(0))
+    assert len(calls) == 1
+    assert np.array_equal(w, u + [actions_mod.PROBE_RADIUS, 0.0, 0.0])
+    assert actions_mod._certificate_probe(
+        lambda v: 1.0, u, 1.0, np.random.default_rng(0)) is None
+
+
+def test_descending_ray_contract():
+    def F(u):  # rising steps end the ray, flat and falling ones do not
+        return abs(float(u[0]))
+
+    start = np.array([3.0, 0.5])
+    pts, vals, strict, last = actions_mod._descend(
+        F, EU2, start, 0, [-1.0, -1.0, 0.0], 3.0, 3.0)
+    assert vals == [2.0, 1.0, 1.0] and strict
+    assert np.array_equal(last, [1.0, 0.5]) and np.array_equal(start, [3.0, 0.5])
+    assert points_equal(pts[-1], make_point(EU2, [(1.0, 0.5)]))
+    assert not actions_mod._descend(F, EU2, start, [0], [0.0], 3.0, 3.0)[2]
+    assert actions_mod._descend(F, EU2, start, [0], [1e-12], 3.0, 0.0) is not None
+    assert actions_mod._descend(F, EU2, start, [0], [1e-11], 3.0, 0.0) is None

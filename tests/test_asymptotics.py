@@ -196,3 +196,13 @@ def test_substitution_quadrature_chain():
     assert all(abs(r - 1.0) <= 0.01 for r in rep.ratio_thth)
     # the cofactor correction decays like xi^6
     assert rep.rate_xixi == pytest.approx(6.0, abs=0.5)
+
+
+def test_substitution_exact_jacobian():
+    # ds/dxi = -2 xi^-3 in closed form: the model input pulls back to 4C
+    # to rounding, where a difference quotient left about 1e-10
+    s_values = (25.0, 30.0, 36.0, 43.0, 52.0, 64.0)
+    ts = [math.exp(-s) for s in s_values]
+    G = [t ** (-2.0) * s ** (-3.0) for t, s in zip(ts, s_values)]
+    rep = substitution_check(ts, G_values=G, C=1.0)
+    assert max(abs(r - 1.0) for r in rep.ratio_xixi) <= 1e-13

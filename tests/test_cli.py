@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import hornlab.cli as cli_mod
+from hornlab.actions import DivergenceReport
 from hornlab.cli import main
 
 HORN_SPACE = '{"factors":[{"kind":"horn"}]}'
@@ -128,3 +130,27 @@ def test_short_csv_row_exits_usage(tmp_path):
     path_file.write_text("x,f0_theta,f0_xi,f0_boundary\n0.0,0.1,0.5,0\n1.0,0.2\n")
     assert main(["relax", "--space", HORN_SPACE, "--path", str(path_file),
                  "--out", str(tmp_path)]) == 3
+
+
+def test_flags_only_where_read():
+    # --tol and --seed are accepted only by the subcommands that read them
+    assert main(["distance", "--tol", "1e-3", "--space", HORN_SPACE,
+                 "--from", BOUNDARY, "--to", TARGET]) == 3
+    assert main(["tensor", "--seed", "1", "--space", HORN_SPACE, "--point", TARGET]) == 3
+    assert main(["classify", "--tol", "1e-3", "--space", HYP_SPACE, "--iso", Z4]) == 3
+
+
+def test_diverge_passes_tol_to_both_axes(monkeypatch, capsys):
+    seen = []
+
+    def fake_axis(iso, seed_path, tol=None):
+        seen.append(tol)
+
+    monkeypatch.setattr(cli_mod, "compute_axis", fake_axis)
+    monkeypatch.setattr(cli_mod, "divergence_profile",
+                        lambda a, b, r: DivergenceReport(r, [0.0] * len(r), None, 0.0))
+    args = ["diverge", "--space", HYP_SPACE, "--iso", Z4, "--iso2", Z4,
+            "--base", '{"blocks":[{"coords":[0.05,1.0]}]}', "--rgrid", "2,3"]
+    assert main(args + ["--tol", "1e-3"]) == 0
+    assert main(args) == 0
+    assert seen == [1e-3, 1e-3, 1e-10, 1e-10]

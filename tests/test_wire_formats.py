@@ -9,6 +9,14 @@ import json
 
 import pytest
 
+from hornlab.actions import (
+    EuclideanAction,
+    HornAction,
+    Isometry,
+    MobiusAction,
+    isometry_from_json,
+    isometry_to_json,
+)
 from hornlab.cli import main
 from hornlab.geometry import (
     Euclidean,
@@ -89,3 +97,25 @@ def test_geodesic_segment_csv_golden(tmp_path, capsys):
     )
     doc = json.loads((tmp_path / "geodesic.json").read_text())
     assert doc["length"] == pytest.approx(6.574005654132021, rel=1e-15)
+
+
+def test_isometry_to_json_golden():
+    # every action kind, and a swap of the two isomorphic horn factors
+    space = SpaceSpec((Horn(), Horn(), HyperbolicPlane(), Euclidean(2)))
+    iso = Isometry(space, (
+        HornAction(a=1.0 / 3.0),
+        HornAction(a=-0.25, reflect=True),
+        MobiusAction(((2.0, 1.0), (1.0, 1.0))),
+        EuclideanAction([[0.0, -1.0], [1.0, 0.0]], [3.0, 0.125]),
+    ), permutation=(1, 0, 2, 3))
+    text = json.dumps(isometry_to_json(iso))
+    assert text == (
+        '{"factor_actions": [{"kind": "horn_translate", "a": 0.3333333333333333}, '
+        '{"kind": "horn_reflect", "a": -0.25}, '
+        '{"kind": "mobius", "m": [[2.0, 1.0], [1.0, 1.0]]}, '
+        '{"kind": "euclid", "Q": [[0.0, -1.0], [1.0, 0.0]], "t": [3.0, 0.125]}], '
+        '"permutation": [1, 0, 2, 3]}'
+    )
+    back = isometry_from_json(space, text)
+    assert back == iso
+    assert json.dumps(isometry_to_json(back)) == text
