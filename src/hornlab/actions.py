@@ -546,11 +546,12 @@ def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: 
     """Ray from ``u`` whose step k adds ``steps[k]`` to ``u[slots]``.
 
     None as soon as ``F`` rises by more than ``1e-12 (1 + |ref|)`` over the
-    previous value (``val`` before the first step), else ``(points,
-    displacements, whether any step strictly decreased, last u)``.
+    previous value (``val`` before the first step), else ``(points of the
+    last four steps, every step's displacement, whether any step strictly
+    decreased, last u)``; an :class:`EscapeWitness` keeps only four points.
     """
     tol_up = 1e-12 * (1.0 + abs(ref))
-    pts, vals, strict = [], [], False
+    us, vals, strict = [], [], False
     for dx in steps:
         u = u.copy()
         u[slots] += dx
@@ -559,9 +560,9 @@ def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: 
             return None
         strict = strict or v < val
         val = v
-        pts.append(_from_opt(space, u))
+        us.append(u)
         vals.append(v)
-    return pts, vals, strict, u
+    return [_from_opt(space, w) for w in us[-4:]], vals, strict, u
 
 
 def _escape_witness(hits, horns) -> EscapeWitness | None:

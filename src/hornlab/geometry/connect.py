@@ -13,12 +13,13 @@ bounds all go through it.  Factor solvers:
   ``tau = ln tan(alpha/2)`` along an arc.
 * Horn-type blocks: radial lines when the angles agree or an endpoint is
   the collapsed axis; otherwise the rotational first integral
-  ``c = f(xi) theta'`` reduces the solve to a one-parameter root find
-  over the (possibly virtual) turning level.  The branch integrals are
-  incomplete beta functions for pure-power profiles (``Horn``, and
-  ``PerturbedHorn`` with ``a4 = c6 = 0``); profiles with ``a4`` or
-  ``c6`` > 0, and branches starting farther from the turning level than
-  they extend, use Gauss-Legendre panels under a square-root
+  ``c = f(xi) theta'`` fixes a (possibly virtual) turning level, found
+  by one log-scale bracket walker, and the geodesic is one monotone leg
+  or two legs meeting there; points invert a leg's arclength.  The
+  branch integrals are incomplete beta functions for pure-power profiles
+  (``Horn``, and ``PerturbedHorn`` with ``a4 = c6 = 0``); profiles with
+  ``a4`` or ``c6`` > 0, and branches starting farther from the turning
+  level than they extend, use Gauss-Legendre panels under a square-root
   substitution.
 * b3-coupled charts: damped-Newton shooting on the initial velocity with
   a curve-shortening fallback on dyadically refined polylines, one banded
@@ -33,6 +34,7 @@ about 1e-12; see the test suite.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,6 +75,13 @@ def _gl(n: int):
         x, w = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _GL_CACHE[n]
+
+
+def _level_length(h, a: float, b: float) -> float:
+    """Integral of ``sqrt(h)`` between levels a and b (64-node Gauss-Legendre)."""
+    base, ws = _gl(64)
+    t = a + (b - a) * base
+    return abs(b - a) * float(np.sum(ws * np.sqrt(np.maximum(h(t), 0.0))))
 
 
 def _tau_panels(width: float, span: float) -> list[float]:
@@ -203,9 +212,7 @@ def _radial_primitive(prof: WarpProfile):
     def H(xi):
         if xi == 0.0:  # a collapsed endpoint needs no quadrature
             return 0.0
-        base, ws = _gl(64)
-        t = xi * base
-        return float(xi * np.sum(ws * np.sqrt(prof.h(t))))
+        return _level_length(prof.h, 0.0, xi)
 
     def H_inv(length):
         if length <= 0.0:
@@ -304,8 +311,6 @@ class _RadialPath(_FactorPath):
     def __init__(self, prof: WarpProfile, theta: float, xi_from: float, xi_to: float):
         self.prof = prof
         self.theta = theta
-        self.xi_from = xi_from
-        self.xi_to = xi_to
         self.H, self.H_inv = _radial_primitive(prof)
         self._h0 = self.H(xi_from)
         self.length = abs(self.H(xi_to) - self._h0)
@@ -327,177 +332,139 @@ class _RadialPath(_FactorPath):
         return (0.0, self._sgn / math.sqrt(self.prof.h(xi)))
 
 
-def _solve_branch_dx(prof: WarpProfile, xi_star: float, span: float,
-                     target: float) -> float:
-    """dx with arclength(turning level -> xi_star + dx) = target.
-
-    Solved in log(dx) so shallow branches resolve far below the float
-    resolution of xi_star.
-    """
-    if target <= 0.0:
-        return 0.0
-    total = _branch_integral(prof, xi_star, 0.0, span, "len")
-    if target >= total:
-        return span
-    g = lambda lam: _branch_integral(prof, xi_star, 0.0, math.exp(lam), "len") - target
-    lam_hi = math.log(span)
-    lam = lam_hi - 2.0
-    for _ in range(400):
+def _log_root(g, lam_hi: float, step: float, tries: int) -> float | None:
+    """Root of ``g`` below ``lam_hi`` in log scale: ``lam`` steps down by
+    ``step`` until ``g(lam) < 0``, at most ``tries`` times, and ``brentq``
+    runs on the last bracket; None when no sign change turns up."""
+    lam = lam_hi - step
+    for _ in range(tries):
         if g(lam) < 0.0:
-            break
+            return brentq(g, lam, lam_hi, rtol=8.9e-16, xtol=1e-300, maxiter=300)
         lam_hi = lam
-        lam -= 2.0
-    else:
-        return 0.0
-    lam_root = brentq(g, lam, lam_hi, rtol=8.9e-16, xtol=1e-300, maxiter=300)
-    return math.exp(lam_root)
+        lam -= step
+    return None
+
+
+class _Leg(NamedTuple):
+    """Monotone piece of a horn geodesic: the levels ``xi* + off + dx`` for
+    dx in ``[0, span]``, traversed downward when ``down``, of arclength
+    ``length``, with angle ``theta_low`` at ``dx = 0`` (None on a turning
+    path: the turning angle, computed on first use).
+
+    Arclength is inverted in ``u`` on [0, 1].  From a turning level
+    (``off = 0``) it grows like sqrt(dx), so ``dx = span u^2`` makes it
+    smooth in u, the kernel's own substitution; above one (``off > 0``)
+    it is smooth in dx already and ``dx = span u``.
+    """
+
+    off: float
+    span: float
+    down: bool
+    length: float
+    theta_low: float | None
 
 
 class _WarpedPath(_FactorPath):
     """Interior non-radial geodesic of a horn-type block.
 
-    The solve runs over the dip depth ``delta = lo - xi*`` of the
-    (possibly virtual) turning level below the lower endpoint, in log
-    scale: the swept angle is monotone in delta on each branch, and
-    shallow dips keep full relative accuracy even when delta is far
+    The first integral fixes the (possibly virtual) turning level
+    ``xi* = lo - delta`` below the lower endpoint.  An angle gap no larger
+    than the one swept by the path tangent at ``lo`` gives one monotone
+    leg (``off = delta``); a larger one gives two legs that meet at ``xi*``.
+    Both dip-depth solves run in log scale of delta through
+    :func:`_log_root`: the swept angle is monotone in delta on each branch,
+    and shallow dips keep full relative accuracy even when delta is far
     below one ulp of the endpoint levels.
     """
 
     def __init__(self, prof: WarpProfile, p1: HornPoint, p2: HornPoint):
         self.prof = prof
-        self.p1, self.p2 = p1, p2
+        self.p1 = p1
         self.sgn_th = 1.0 if p2.theta >= p1.theta else -1.0
         dth = abs(p2.theta - p1.theta)
-        lo = min(p1.xi, p2.xi)
-        hi = max(p1.xi, p2.xi)
-        self.lo, self.hi = lo, hi
+        lo, hi = min(p1.xi, p2.xi), max(p1.xi, p2.xi)
         tan_dth = _branch_integral(prof, lo, 0.0, hi - lo, "theta") if p1.xi != p2.xi else 0.0
         if dth <= tan_dth:
-            self.turning = False
-            self.delta = self._solve_mono(prof, lo, hi, dth)
+            delta = self._solve_mono(prof, lo, hi, dth)
+            self.xi_star = xs = lo - delta
+            down = p2.xi < p1.xi
+            length = _branch_integral(prof, xs, delta, hi - lo, "len")
+            self.legs = (_Leg(delta, hi - lo, down, length, p2.theta if down else p1.theta),)
         else:
-            self.turning = True
-            self.delta = self._solve_turning(prof, lo, p1.xi, p2.xi, dth)
-        self.xi_star = lo - self.delta
-        xs = self.xi_star
-        if self.turning:
-            self.span1 = (p1.xi - lo) + self.delta
-            self.span2 = (p2.xi - lo) + self.delta
-            self.L1 = _branch_integral(prof, xs, 0.0, self.span1, "len")
-            self.L2 = (
-                self.L1 if self.span2 == self.span1
-                else _branch_integral(prof, xs, 0.0, self.span2, "len")
-            )
-            self.length = self.L1 + self.L2
-        else:
-            self.length = _branch_integral(prof, xs, self.delta, hi - lo, "len")
+            delta = self._solve_turning(prof, lo, p1.xi, p2.xi, dth)
+            self.xi_star = xs = lo - delta
+            span1, span2 = (p1.xi - lo) + delta, (p2.xi - lo) + delta
+            L1 = _branch_integral(prof, xs, 0.0, span1, "len")
+            L2 = L1 if span2 == span1 else _branch_integral(prof, xs, 0.0, span2, "len")
+            self.legs = (_Leg(0.0, span1, True, L1, None), _Leg(0.0, span2, False, L2, None))
+        self.length = sum(leg.length for leg in self.legs)
 
     @staticmethod
     def _solve_mono(prof, lo, hi, dth):
-        span = hi - lo
-
         def g(lam):
             delta = min(math.exp(lam), lo)  # exp/log round trips may overshoot
-            return _branch_integral(prof, lo - delta, delta, span, "theta") - dth
+            return dth - _branch_integral(prof, lo - delta, delta, hi - lo, "theta")
 
-        lam_hi = math.log(lo)  # delta = lo: xi* = 0, radial, no swept angle
-        lam = lam_hi - 2.0
-        for _ in range(400):
-            if g(lam) >= 0.0:
-                break
-            lam_hi = lam
-            lam -= 2.0
-        else:
+        lam = _log_root(g, math.log(lo), 2.0, 400)  # delta = lo: xi* = 0, no swept angle
+        if lam is None:
             return 0.0  # tangent-degenerate: xi* sits at the lower level
-        lam_root = brentq(g, lam, lam_hi, rtol=8.9e-16, xtol=1e-300, maxiter=300)
-        return min(math.exp(lam_root), lo)
+        return min(math.exp(lam), lo)
 
     @staticmethod
     def _solve_turning(prof, lo, x1, x2, dth):
-        s1_base = x1 - lo
-        s2_base = x2 - lo
-        symmetric = s1_base == s2_base
-
         def g(lam):
             delta = min(math.exp(lam), lo * (1.0 - 1e-16))
-            xs = lo - delta
-            if symmetric:
-                return 2.0 * _branch_integral(prof, xs, 0.0, s1_base + delta, "theta") - dth
-            return (
-                _branch_integral(prof, xs, 0.0, s1_base + delta, "theta")
-                + _branch_integral(prof, xs, 0.0, s2_base + delta, "theta")
-                - dth
-            )
+            th1 = _branch_integral(prof, lo - delta, 0.0, (x1 - lo) + delta, "theta")
+            th2 = th1 if x1 == x2 else _branch_integral(
+                prof, lo - delta, 0.0, (x2 - lo) + delta, "theta")
+            return th1 + th2 - dth
 
         lam_hi = math.log(lo)
-        if g(lam_hi) <= 0.0:
+        lam = None if g(lam_hi) <= 0.0 else _log_root(g, lam_hi, 4.0, 800)
+        if lam is None:
             raise ConnectError("turning-level bracket failed")
-        lam = lam_hi - 4.0
-        for _ in range(800):
-            if g(lam) < 0.0:
-                break
-            lam_hi = lam
-            lam -= 4.0
-        else:
-            raise ConnectError("turning-level bracket failed")
-        lam_root = brentq(g, lam, lam_hi, rtol=8.9e-16, xtol=1e-300, maxiter=300)
-        return min(math.exp(lam_root), lo * (1.0 - 1e-16))
+        return min(math.exp(lam), lo * (1.0 - 1e-16))
 
-    def _theta_to_dx(self, dx: float) -> float:
-        return _branch_integral(self.prof, self.xi_star, 0.0, dx, "theta")
+    @cached_property
+    def _turn_theta(self) -> float:
+        """Angle at the turning level; lazy, as a distance never samples."""
+        sweep = _branch_integral(self.prof, self.xi_star, 0.0, self.legs[0].span, "theta")
+        return self.p1.theta + self.sgn_th * sweep
 
-    def _offset(self, s: float) -> float:
-        """Exact level offset at parameter s: above xi* on a turning path,
-        above lo on a monotone one."""
-        if self.turning:
-            if s <= self.L1:
-                return _solve_branch_dx(self.prof, self.xi_star, self.span1, self.L1 - s)
-            return _solve_branch_dx(self.prof, self.xi_star, self.span2, s - self.L1)
-        return self._mono_dx(s if self.p1.xi <= self.p2.xi else self.length - s)
+    def _locate(self, s: float) -> tuple[_Leg, float]:
+        """The leg at parameter s and the level offset dx on it."""
+        s = min(max(s, 0.0), self.length)
+        leg = self.legs[0]
+        if s > leg.length:
+            s -= leg.length
+            leg = self.legs[1]
+        t = leg.length - s if leg.down else s  # arclength from the low end
+        if t <= 0.0:
+            return leg, 0.0
+        if t >= leg.length:
+            return leg, leg.span
+        power = 2 if leg.off == 0.0 else 1
+        g = lambda u: _branch_integral(
+            self.prof, self.xi_star, leg.off, leg.span * u**power, "len") - t
+        u = brentq(g, 0.0, 1.0, rtol=8.9e-16, xtol=1e-300, maxiter=300)
+        return leg, leg.span * u**power
 
     def point(self, s):
-        s = min(max(s, 0.0), self.length)
-        prof, xs = self.prof, self.xi_star
-        dx = self._offset(s)
-        if self.turning:
-            base, swept = self._theta_to_dx(self.span1), self._theta_to_dx(dx)
-            theta = self.p1.theta + self.sgn_th * (base - swept if s <= self.L1 else base + swept)
-            return HornPoint(theta, xs + dx)
-        dth_from_lo = _branch_integral(prof, xs, self.delta, dx, "theta")
-        if self.p1.xi <= self.p2.xi:
-            theta = self.p1.theta + self.sgn_th * dth_from_lo
-        else:
-            total = _branch_integral(prof, xs, self.delta, self.hi - self.lo, "theta")
-            theta = self.p1.theta + self.sgn_th * (total - dth_from_lo)
-        return HornPoint(theta, self.lo + dx)
-
-    def _mono_dx(self, s_from_lo: float) -> float:
-        """Level offset above lo with arclength(lo -> lo + dxu) = s_from_lo."""
-        span = self.hi - self.lo
-        if s_from_lo <= 0.0:
-            return 0.0
-        if s_from_lo >= self.length:
-            return span
-        fn = lambda dxu: _branch_integral(
-            self.prof, self.xi_star, self.delta, dxu, "len") - s_from_lo
-        return brentq(fn, 0.0, span, rtol=8.9e-16, xtol=1e-300, maxiter=300)
+        leg, dx = self._locate(s)
+        swept = _branch_integral(self.prof, self.xi_star, leg.off, dx, "theta")
+        low = self._turn_theta if leg.theta_low is None else leg.theta_low
+        theta = low - self.sgn_th * swept if leg.down else low + self.sgn_th * swept
+        return HornPoint(theta, self.xi_star + (leg.off + dx))
 
     def velocity(self, s):
         prof, xs = self.prof, self.xi_star
-        dx = self._offset(s)
-        if not self.turning:
-            dx = self.delta + dx
+        leg, dx = self._locate(s)
+        dx += leg.off
         xi = xs + dx
-        c = math.sqrt(prof.f(xs))
         f = prof.f(xi)
-        vth = self.sgn_th * c / f
+        vth = self.sgn_th * math.sqrt(prof.f(xs)) / f
         vxi = math.sqrt(max(prof.f_minus(xi, xs, dx), 0.0) / (f * prof.h(xi)))
-        if self.turning:
-            if s < self.L1:
-                vxi = -vxi
-        elif self.p2.xi < self.p1.xi:
-            vxi = -vxi
-        return (vth, vxi)
+        return (vth, -vxi if leg.down else vxi)
 
 
 def _warp_connect(prof: WarpProfile, a, b):
@@ -1034,10 +1001,3 @@ def _radial_bound(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
 
 def _level(blk) -> float:
     return 0.0 if isinstance(blk, BoundaryPoint) else blk.xi
-
-
-def _level_length(h, a: float, b: float) -> float:
-    """Integral of ``sqrt(h)`` between levels a and b (64-node Gauss-Legendre)."""
-    base, ws = _gl(64)
-    t = a + (b - a) * base
-    return abs(b - a) * float(np.sum(ws * np.sqrt(np.maximum(h(t), 0.0))))

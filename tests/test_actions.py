@@ -251,17 +251,23 @@ def make_z4_axis(n=16):
     return axis(z4(), equivariant_seed(HYP, z4(), w, n))
 
 
-def test_axis_period_and_uniqueness_seed():
-    ax = make_z4_axis()
+@pytest.fixture(scope="module")
+def z4_axis():
+    """The N=16 z4 axis, built once for the tests that only read it."""
+    return make_z4_axis()
+
+
+def test_axis_period_and_uniqueness_seed(z4_axis):
+    ax = z4_axis
     assert ax.period_length == pytest.approx(math.log(4.0), abs=1e-4)
     for pt in ax.path.nodes:
         x, y = pt.blocks[0]
         assert abs(x) / y <= 1e-6  # nodes on the imaginary axis
 
 
-def test_axis_equivariant_invariance():
+def test_axis_equivariant_invariance(z4_axis):
     # applying gamma to its own axis reproduces the axis one period on
-    ax = make_z4_axis()
+    ax = z4_axis
     g = z4()
     n = ax.path.n_segments
     for i, node in enumerate(ax.path.nodes[:-1]):
@@ -311,8 +317,8 @@ def test_product_axis_length():
 # displacement growth and divergence
 
 
-def test_displacement_growth_oracle():
-    ax = make_z4_axis()
+def test_displacement_growth_oracle(z4_axis):
+    ax = z4_axis
     g = z4()
     grid = [0.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     rep = displacement_growth(g, ax, grid)
@@ -324,8 +330,8 @@ def test_displacement_growth_oracle():
     assert rep.convex_ok and rep.increasing_ok
 
 
-def test_divergence_same_axis_zero():
-    ax = make_z4_axis()
+def test_divergence_same_axis_zero(z4_axis):
+    ax = z4_axis
     prof = divergence_profile(ax, ax, [1.0, 2.0, 3.0])
     assert prof.center_distance <= 1e-9
     assert all(m <= 1e-9 for m in prof.m_values)
