@@ -40,7 +40,7 @@ from .geometry import (
     metric_tensor,
     point_along,
 )
-from .geometry.spaces import _wire_int, _wire_parser
+from .geometry.spaces import _wire_int, _wire_parser, point_from_search, search_vector
 from .paths import DiscretePath, heat_flow, refine_flow
 
 #: Translation lengths below this count as zero for classification.
@@ -183,23 +183,18 @@ class EuclideanAction:
 class _Kind:
     """What the group structure and the search chart need of a factor kind.
 
-    ``level`` maps the log-scaled second coordinate of a 2-D block back to
-    its level with clamps that keep every downstream power and product
-    inside double range, ``draw`` is the range of that log coordinate in
-    random points and ``inside`` tells a level strictly inside the clamps.
-    Flat blocks have no log coordinate (``level`` is None).
+    ``draw`` is the range of the log-scaled level of a 2-D block in random
+    points and ``inside`` tells a level strictly inside the clamps of the
+    factor's ``search_block``.  Flat blocks have neither.
     """
 
     action: type
-    level: Callable[[float], float] | None = None
     draw: tuple[float, float] = (0.0, 0.0)
     inside: Callable[[float], bool] | None = None
 
 
-_HORN_KIND = _Kind(HornAction, lambda u: max(math.exp(min(u, 30.0)), XI_SNAP), (-2.5, 0.7),
-                   lambda xi: XI_ATTAIN <= xi < math.exp(29.5))
-_HYP_KIND = _Kind(MobiusAction, lambda u: math.exp(min(max(u, -80.0), 80.0)), (-1.5, 1.5),
-                  lambda y: abs(math.log(y)) < 59.0)
+_HORN_KIND = _Kind(HornAction, (-2.5, 0.7), lambda xi: XI_ATTAIN <= xi < math.exp(29.5))
+_HYP_KIND = _Kind(MobiusAction, (-1.5, 1.5), lambda y: abs(math.log(y)) < 59.0)
 _FLAT_KIND = _Kind(EuclideanAction)
 
 
@@ -379,43 +374,16 @@ def random_point(space: SpaceSpec, rng: np.random.Generator, box: float = 2.0
     """Random interior point with coordinates on a moderate scale."""
     blocks = []
     for f in space.factors:
-        kind = _kind(f)
-        if kind.level is None:
+        if f.profile is None:
             blocks.append(tuple(rng.uniform(-box, box, f.dim)))
         else:
-            blocks.append((rng.uniform(-box, box), math.exp(rng.uniform(*kind.draw))))
+            blocks.append((rng.uniform(-box, box), math.exp(rng.uniform(*_kind(f).draw))))
     return make_point(space, blocks)
 
 
 def base_point(space: SpaceSpec) -> CompletionPoint:
-    return make_point(space, [(0.0,) * f.dim if _kind(f).level is None else (0.0, 1.0)
+    return make_point(space, [(0.0,) * f.dim if f.profile is None else (0.0, 1.0)
                               for f in space.factors])
-
-
-# optimization runs in a transformed chart of the same layout: horn and
-# hyperbolic second coordinates go through log so boundary escape shows
-# up as a coordinate running to -infinity
-
-
-def _to_opt(space: SpaceSpec, p: CompletionPoint) -> np.ndarray:
-    u = []
-    for f, b in zip(space.factors, p.blocks):
-        if _kind(f).level is None:
-            u += list(b)
-        else:
-            x, s = _pair(b)
-            u += [x, math.log(s)]
-    return np.array(u)
-
-
-def _from_opt(space: SpaceSpec, u: np.ndarray) -> CompletionPoint:
-    blocks = []
-    k = 0
-    for f in space.factors:
-        level = _kind(f).level
-        blocks.append(tuple(u[k:k + f.dim]) if level is None else (u[k], level(u[k + 1])))
-        k += f.dim
-    return make_point(space, blocks)
 
 
 # sizes and tolerances of the translation-length search
@@ -464,14 +432,14 @@ class TranslationLengthResult:
 
 
 def _interiority(space: SpaceSpec, u: np.ndarray) -> float:
-    p = _from_opt(space, u)
+    p = point_from_search(space, u)
     xis = [b.xi for b in p.blocks if isinstance(b, HornPoint)]
     return min(xis) if xis else math.inf
 
 
 def _is_interior_candidate(space: SpaceSpec, u: np.ndarray) -> bool:
     """True when the point sits strictly inside every search clamp."""
-    p = _from_opt(space, u)
+    p = point_from_search(space, u)
     if p.stratum():
         return False
     for f, blk in zip(space.factors, p.blocks):
@@ -491,13 +459,13 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     d = space.dim
 
     def residual(u):
-        p = _from_opt(space, u)
+        p = point_from_search(space, u)
         q = iso.apply(p)
         if q.stratum():
             return None
-        return _to_opt(space, q) - u
+        return search_vector(space, q) - u
 
-    starts = [_to_opt(space, base_point(space))]
+    starts = [search_vector(space, base_point(space))]
     for _ in range(4):
         starts.append(rng.uniform(-2.0, 2.0, d))
     for u0 in starts:
@@ -508,7 +476,7 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
                 break
             if float(np.max(np.abs(r))) < 1e-11:
                 if _is_interior_candidate(space, u):
-                    p = _from_opt(space, u)
+                    p = point_from_search(space, u)
                     f = displacement(iso, p)
                     if f < 1e-12:
                         return f, p
@@ -562,7 +530,7 @@ def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: 
         val = v
         us.append(u)
         vals.append(v)
-    return [_from_opt(space, w) for w in us[-4:]], vals, strict, u
+    return [point_from_search(space, w) for w in us[-4:]], vals, strict, u
 
 
 def _escape_witness(hits, horns) -> EscapeWitness | None:
@@ -615,7 +583,7 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     def F(u: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        return displacement(iso, _from_opt(iso.space, u))
+        return displacement(iso, point_from_search(iso.space, u))
 
     L, witness = _search(iso, F, np.random.default_rng(budget.seed))
     return TranslationLengthResult(
@@ -634,7 +602,7 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
         return fixed
 
     d = space.dim
-    starts = [_to_opt(space, base_point(space))]
+    starts = [search_vector(space, base_point(space))]
     for s in range(STARTS - 1):
         j = s % (BOX_LEVELS + 1)
         starts.append(rng.uniform(-(2.0**j), 2.0**j, d))
@@ -668,7 +636,7 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
     horn_log_slots = list(space.xi_offsets)  # the opt chart keeps the chart layout
 
     def horn_part(u: np.ndarray) -> float:  # only called when there are horns
-        p = _from_opt(space, u)
+        p = point_from_search(space, u)
         parts = factor_distances(space, p, iso.apply(p))
         return 0.0 if parts is None else max(parts[i] for i in space.horn_indices)
 
@@ -679,7 +647,7 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
         sources.append((int_u, int_val))
     hits = []
     for u_src, v_src in sources if horn_log_slots else ():
-        u = _to_opt(space, _from_opt(space, u_src))  # canonical through clamps
+        u = search_vector(space, point_from_search(space, u_src))  # canonical through clamps
         h0 = horn_part(u)
         if h0 <= 0.0:
             continue
@@ -693,7 +661,7 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
 
     if int_u is None:
         # every competitive candidate hugs a search clamp
-        best_point = _from_opt(space, best_u)
+        best_point = point_from_search(space, best_u)
         at_floor = any(
             isinstance(b, HornPoint) and b.xi < XI_ATTAIN for b in best_point.blocks
         )
@@ -718,7 +686,7 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
         val, _ = _polish(F, improved)
         if val < int_val - IMPROVE_TOL:
             return val, None
-    return int_val, _from_opt(space, int_u)
+    return int_val, point_from_search(space, int_u)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +798,13 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
     """Flow an equivariant seed to the axis of a positive-translation
     isometry.
 
+    The flow is ``refine_flow``'s Anderson-accelerated one; ``tol`` bounds
+    a sweep's node displacement relative to the mean segment length.
     Raises BasinError when the flow escapes toward a stratum (seed too
     far out for the contraction to hold).  ``reference_distance`` maps a
-    point to its distance from a known axis; when given, the sup of it
-    over the nodes is checked to be non-increasing along the flow.
+    point to its distance from a known axis; when given, the plain flow
+    runs instead at the seed's N, and the sup of that distance over the
+    nodes is checked to be non-increasing along it (Hartman).
     """
     sups: list[float] = []
 
@@ -1068,7 +1039,7 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
             for _ in range(per_level):
                 u = rng.uniform(-(2.0**j), 2.0**j, d)
                 used += 1
-                p = _from_opt(space, u)
+                p = point_from_search(space, u)
                 if delta(p) <= M:
                     found = True
                     r = distance(space, p0, p)
@@ -1081,16 +1052,16 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
                 break
         # hill climb from the farthest admissible points
         if found and not unbounded:
-            frontier.sort(key=lambda u: -distance(space, p0, _from_opt(space, u)))
+            frontier.sort(key=lambda u: -distance(space, p0, point_from_search(space, u)))
             for u in frontier[:4]:
                 cur = u.copy()
-                cur_r = distance(space, p0, _from_opt(space, cur))
+                cur_r = distance(space, p0, point_from_search(space, cur))
                 step = 0.5
                 stalls = 0
                 while used < sample_budget and stalls < 24 and not unbounded:
                     cand = cur + rng.standard_normal(d) * step
                     used += 1
-                    p = _from_opt(space, cand)
+                    p = point_from_search(space, cand)
                     if delta(p) <= M:
                         r = distance(space, p0, p)
                         if r > cur_r:

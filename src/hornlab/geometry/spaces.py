@@ -28,6 +28,9 @@ only kind tests left outside this module pick a factor's exact solver
 * ``csv_columns(i)``, ``csv_cells(block)`` and ``csv_block(cells)``: the
   CSV wire format of ``paths``.
 * ``curvature(block)``: the sectional curvature of a 2-D factor.
+* ``search_coords(block)`` and ``search_block(coords)``: the search chart
+  (of ``actions`` and the accelerated flow), with 2-D levels in log,
+  clamped on the way back to keep every power in double range.
 
 ``SpaceSpec`` adds the facts about the product that several modules use:
 the horn and coupled-horn indices, the first Euclidean factor and the
@@ -159,7 +162,8 @@ def _wire_int(value, what: str) -> int:
 
 
 class _Factor:
-    """JSON wire format shared by the factor classes without parameters."""
+    """JSON wire format of the factor classes without parameters, and the
+    search chart of the flat ones."""
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -167,6 +171,12 @@ class _Factor:
     @classmethod
     def from_json(cls, entry):
         return cls()
+
+    def search_coords(self, block) -> tuple:
+        return block
+
+    def search_block(self, coords):
+        return tuple(coords)
 
 
 class _HornKind(_Factor):
@@ -202,6 +212,12 @@ class _HornKind(_Factor):
 
     def curvature(self, block) -> float:
         return self.profile.curvature(block.xi)
+
+    def search_coords(self, block) -> tuple:
+        return (block.theta, math.log(block.xi))
+
+    def search_block(self, coords):
+        return (coords[0], max(math.exp(min(coords[1], 30.0)), XI_SNAP))
 
 
 class _CoordKind(_Factor):
@@ -249,6 +265,12 @@ class HyperbolicPlane(_CoordKind):
 
     def curvature(self, block) -> float:
         return -1.0
+
+    def search_coords(self, block) -> tuple:
+        return (block[0], math.log(block[1]))
+
+    def search_block(self, coords):
+        return (coords[0], math.exp(min(max(coords[1], -80.0), 80.0)))
 
 
 @dataclass(frozen=True)
@@ -470,6 +492,20 @@ def point_from_chart(space: SpaceSpec, vec) -> CompletionPoint:
     if vec.shape != (space.dim,):
         raise ValueError(f"chart vector must have length {space.dim}")
     return make_point(space, [tuple(vec[sl]) for sl in space.chart_slices()])
+
+
+def search_vector(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
+    """Search-chart coordinates of an interior point, factor by factor."""
+    u = []
+    for f, b in zip(space.factors, point.blocks):
+        u += f.search_coords(b)
+    return np.array(u)
+
+
+def point_from_search(space: SpaceSpec, u) -> CompletionPoint:
+    """The point at search-chart coordinates ``u``, levels clamped."""
+    return make_point(space, [f.search_block(u[sl])
+                              for f, sl in zip(space.factors, space.chart_slices())])
 
 
 def tangent_from_chart(space: SpaceSpec, vec) -> TangentVector:

@@ -8,7 +8,10 @@ The flow itself is Jacobi midpoint smoothing: every updatable node is
 replaced by the geodesic midpoint of its two neighbors, all reads coming
 from the previous iterate.  Fixed points are discrete geodesics, energy
 never increases, and sweeps are order-independent so node updates can be
-evaluated in any order or in parallel.
+evaluated in any order or in parallel.  This plain flow is the reference
+(``relax``, the Hartman check of ``actions.axis``); ``refine_flow``, and so
+``actions.axis``, runs the same sweep loop with an energy-safeguarded
+Anderson extrapolation of the sweep map.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .geometry import (
     XI_SNAP,
-    BoundaryPoint,
     CompletionPoint,
     HornPoint,
     SpaceSpec,
@@ -31,11 +36,12 @@ from .geometry import (
     point_along,
     points_equal,
 )
-from .geometry.spaces import _definite, _wire_parser
+from .geometry.spaces import _definite, _wire_parser, point_from_search, search_vector
 
 COMPETITOR_TOL = 1e-7     # slack the midpoint competitor inequality may lose
 REFINE_LENGTH_TOL = 1e-6  # refine_flow: a length change this small has settled
 REFINE_DOUBLINGS = 4      # refine_flow: most node doublings
+ANDERSON_DEPTH = 6        # refine_flow: sweeps the extrapolation looks back on
 
 
 @dataclass(frozen=True)
@@ -77,39 +83,84 @@ class FlowReport:
     converged: bool
     escaped: bool
     max_displacement: float
+    accelerated: int  # sweeps that took the extrapolated iterate
+    fallbacks: int    # extrapolations refused by the energy safeguard
 
     def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_length": self.final_length,
-            "final_energy": self.final_energy,
-            "energy_series": self.energy_series,
-            "converged": self.converged,
-            "escaped": self.escaped,
-            "max_displacement": self.max_displacement,
-        }
+        return asdict(self)
+
+
+def _segments(space: SpaceSpec, pairs) -> tuple[list[float], float]:
+    """Distances of the segments ``pairs``, one solve each, and the energy."""
+    seg = [distance(space, a, b) for a, b in pairs]
+    return seg, len(seg) * sum(d ** 2 for d in seg)
 
 
 def path_length(path: DiscretePath) -> float:
     """Sum of segment distances over one period."""
-    return sum(distance(path.space, a, b) for a, b in path.segment_endpoints())
+    return sum(_segments(path.space, path.segment_endpoints())[0])
 
 
 def path_energy(path: DiscretePath) -> float:
     """Riemann sum N * sum d(node_i, node_{i+1})^2 of the squared speed."""
-    n = path.n_segments
-    return n * sum(distance(path.space, a, b) ** 2 for a, b in path.segment_endpoints())
+    return _segments(path.space, path.segment_endpoints())[1]
 
 
-def _min_horn_xi(nodes) -> float | None:
-    return min((b.xi for pt in nodes for b in pt.blocks if isinstance(b, HornPoint)),
-               default=None)
+def _sweep(space: SpaceSpec, gamma, nodes: list) -> list:
+    """One Jacobi midpoint sweep, damped on equivariant paths."""
+    n = len(nodes) - 1
+    if gamma is None:
+        return [nodes[0], *(midpoint(space, nodes[i - 1], nodes[i + 1]) for i in range(1, n)),
+                nodes[n]]
+    ginv = gamma.inverse()
+    new_nodes = []
+    for i in range(n):
+        left = nodes[i - 1] if i > 0 else ginv.apply(nodes[n - 1])
+        new_nodes.append(midpoint(space, nodes[i], midpoint(space, left, nodes[i + 1])))
+    new_nodes.append(gamma.apply(new_nodes[0]))
+    return new_nodes
+
+
+class _Anderson:
+    """Anderson mixing of the sweep map G in the search chart (type II;
+    Walker and Ni, SIAM J. Numer. Anal. 49, 2011).  With the differences
+    dG, dF of G(x) and f = G(x) - x over the last ``ANDERSON_DEPTH``
+    sweeps, the candidate is G(x) - dG c, c minimizing |f - dF c|.
+    Levels enter through log, so an extrapolated level stays positive."""
+
+    def __init__(self, space: SpaceSpec, gamma, n: int):
+        self.space, self.gamma = space, gamma
+        self.upd = slice(0, n) if gamma is not None else slice(1, n)
+        self.hist: deque = deque(maxlen=ANDERSON_DEPTH + 1)  # (G(x), f) per sweep
+
+    def candidate(self, nodes: list, swept: list) -> list | None:
+        """Extrapolated nodes from the sweep ``nodes -> swept``, or None
+        while there is no history or a node sits at a stratum."""
+        if any(pt.stratum() for pt in (*nodes[self.upd], *swept[self.upd])):
+            self.hist.clear()
+            return None
+        x, g = (np.concatenate([search_vector(self.space, p) for p in pts[self.upd]])
+                for pts in (nodes, swept))
+        self.hist.append((g, g - x))
+        if len(self.hist) < 2:
+            return None
+        dg, df = (np.diff(np.array(c), axis=0).T for c in zip(*self.hist))
+        u = g - dg @ np.linalg.lstsq(df, g - x, rcond=None)[0]
+        if not np.isfinite(u).all():
+            return None
+        dim, out = self.space.dim, list(swept)
+        out[self.upd] = [point_from_search(self.space, u[k:k + dim])
+                         for k in range(0, len(u), dim)]
+        if self.gamma is not None:
+            out[-1] = self.gamma.apply(out[0])
+        return out
 
 
 def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
-              on_iterate=None) -> tuple[DiscretePath, FlowReport]:
-    """Jacobi midpoint smoothing until the sup node displacement per sweep
-    falls below ``tol`` or the iteration budget runs out.
+              on_iterate=None, *, accelerate: bool = False
+              ) -> tuple[DiscretePath, FlowReport]:
+    """Jacobi midpoint smoothing until a sweep moves no node by more than
+    ``tol`` times the mean segment length, or the iteration budget runs out.
 
     Fixed-endpoint paths update interior nodes only; equivariant paths
     update every node with neighbors read through the gluing.  The
@@ -117,81 +168,74 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
     and its neighbors' midpoint, because the undamped update leaves the
     alternating mode of a periodic chain spinning with eigenvalue -1.
     The damping is itself a midpoint call, and the fixed points (discrete
-    geodesics) are the same.
+    geodesics) are the same.  The stopping test is relative because
+    segments near a horn stratum are about xi^3 long, where an absolute
+    test calls a slow escape converged.
+
+    With ``accelerate`` each sweep also proposes an :class:`_Anderson`
+    extrapolation, taken only if its energy is at most the plain sweep's;
+    the report counts the taken (``accelerated``) and refused
+    (``fallbacks``) ones, and the stopping test still reads the plain
+    sweep's displacement.
 
     Escape is flagged when a node crosses the snap threshold toward a
     stratum, or when the flow fails to converge while the smallest horn
-    coordinate drifts monotonically down (the compactness hypothesis of
-    long-time existence has no analogue then).  ``on_iterate`` is called
-    with the node list after every sweep.
+    coordinate drifts down: over the second half of the run it ends at
+    its lowest, below where that half began (the compactness hypothesis
+    of long-time existence has no analogue then).  ``on_iterate`` is
+    called with the node list after every sweep.
     """
     space = path.space
     gamma = path.periodic_shift
     nodes = list(path.nodes)
     n = len(nodes) - 1
-    energies = [path_energy(path)]
-    escaped = False
-    converged = False
+    seg, energy = _segments(space, path.segment_endpoints())
+    energies = [energy]
+    anderson = _Anderson(space, gamma, n) if accelerate else None
+    accelerated = fallbacks = 0
+    escaped = converged = False
     max_disp = math.inf
     min_xi_series: list[float] = []
-    boundary_declared = any(
-        isinstance(b, BoundaryPoint)
-        for pt in (path.nodes[0], path.nodes[-1])
-        for b in pt.blocks
-    )
+    boundary_declared = bool(nodes[0].stratum() or nodes[-1].stratum())
     it = 0
     for it in range(1, max_iter + 1):
-        if gamma is None:
-            new_nodes = [nodes[0]]
-            for i in range(1, n):
-                new_nodes.append(midpoint(space, nodes[i - 1], nodes[i + 1]))
-            new_nodes.append(nodes[n])
-        else:
-            ginv = gamma.inverse()
-            new_nodes = []
-            for i in range(n):
-                left = nodes[i - 1] if i > 0 else ginv.apply(nodes[n - 1])
-                right = nodes[i + 1]
-                new_nodes.append(
-                    midpoint(space, nodes[i], midpoint(space, left, right))
-                )
-            new_nodes.append(gamma.apply(new_nodes[0]))
-        max_disp = max(
-            distance(space, a, b) for a, b in zip(nodes, new_nodes)
-        )
-        nodes = new_nodes
-        flowed = DiscretePath(space, tuple(nodes), periodic_shift=gamma)
-        energies.append(path_energy(flowed))
+        swept = _sweep(space, gamma, nodes)
+        max_disp = max(distance(space, a, b) for a, b in zip(nodes, swept))
+        seg, energy = _segments(space, zip(swept, swept[1:]))  # node N is glued
+        cand = None if anderson is None else anderson.candidate(nodes, swept)
+        nodes = swept
+        if cand is not None:
+            cand_seg, cand_energy = _segments(space, zip(cand, cand[1:]))
+            if cand_energy <= energy:
+                nodes, seg, energy = cand, cand_seg, cand_energy
+                accelerated += 1
+            else:
+                fallbacks += 1
+        energies.append(energy)
         if on_iterate is not None:
             on_iterate(nodes)
         updatable = nodes[1:-1] if gamma is None else nodes
         if not boundary_declared and any(pt.stratum() for pt in updatable):
             escaped = True
             break
-        mx = _min_horn_xi(nodes)
+        mx = min((b.xi for pt in nodes for b in pt.blocks if isinstance(b, HornPoint)),
+                 default=None)
         if mx is not None:
             min_xi_series.append(mx)
             if mx <= XI_SNAP * (1.0 + 1e-9) and not boundary_declared:
                 escaped = True
                 break
-        if max_disp < tol:
+        if max_disp <= tol * sum(seg) / n:
             converged = True
             break
     if not converged and not escaped and len(min_xi_series) >= 10:
         tail = min_xi_series[len(min_xi_series) // 2:]
-        if all(b < a for a, b in zip(tail[:-1], tail[1:])):
-            escaped = True
-    flowed = DiscretePath(space, tuple(nodes), periodic_shift=gamma)
-    report = FlowReport(
-        iterations=it,
-        final_length=path_length(flowed),
-        final_energy=energies[-1],
-        energy_series=energies,
-        converged=converged,
-        escaped=escaped,
-        max_displacement=max_disp,
-    )
-    return flowed, report
+        escaped = min(tail) == tail[-1] < tail[0]
+    report = FlowReport(iterations=it, final_length=sum(seg), final_energy=energies[-1],
+                        energy_series=energies, converged=converged, escaped=escaped,
+                        max_displacement=max_disp, accelerated=accelerated,
+                        fallbacks=fallbacks)
+    return DiscretePath(space, tuple(nodes), periodic_shift=gamma), report
 
 
 @dataclass
@@ -258,18 +302,20 @@ def equivariant_seed(space: SpaceSpec, iso, base: CompletionPoint, n: int) -> Di
 
 def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6
                 ) -> tuple[DiscretePath, FlowReport]:
-    """Flow, then double the node count until the length settles.
+    """Accelerated flow, then double the node count until the length settles.
 
     Starts from the given path (N typically 16) and stops when one
     doubling changes the converged length by less than ``REFINE_LENGTH_TOL``.
+    Every stage is one accelerated :func:`heat_flow`, whose limit may sit
+    elsewhere along the axis than the plain flow's (every slide is a fixed point).
     """
-    flowed, report = heat_flow(path, max_iter=max_iter, tol=tol)
+    flowed, report = heat_flow(path, max_iter=max_iter, tol=tol, accelerate=True)
     for _ in range(REFINE_DOUBLINGS):
         if report.escaped:
             break
         prev_len = report.final_length
         flowed = _double_nodes(flowed)
-        flowed, report = heat_flow(flowed, max_iter=max_iter, tol=tol)
+        flowed, report = heat_flow(flowed, max_iter=max_iter, tol=tol, accelerate=True)
         if abs(report.final_length - prev_len) < REFINE_LENGTH_TOL:
             break
     return flowed, report
