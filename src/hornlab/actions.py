@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .errors import BasinError
+from .errors import BasinError, FlowBudgetError
 from .geometry import (
     XI_SNAP,
     BoundaryPoint,
@@ -801,10 +801,12 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
     The flow is ``refine_flow``'s Anderson-accelerated one; ``tol`` bounds
     a sweep's node displacement relative to the mean segment length.
     Raises BasinError when the flow escapes toward a stratum (seed too
-    far out for the contraction to hold).  ``reference_distance`` maps a
-    point to its distance from a known axis; when given, the plain flow
-    runs instead at the seed's N, and the sup of that distance over the
-    nodes is checked to be non-increasing along it (Hartman).
+    far out for the contraction to hold), and FlowBudgetError when it
+    spends ``max_iter`` sweeps without converging or escaping.
+    ``reference_distance`` maps a point to its distance from a known
+    axis; when given, the plain flow runs instead at the seed's N, and
+    the sup of that distance over the nodes is checked to be
+    non-increasing along it (Hartman).
     """
     sups: list[float] = []
 
@@ -818,6 +820,9 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
     )
     if report.escaped:
         raise BasinError("flow escaped toward a stratum: seed outside the basin")
+    if not report.converged:
+        raise FlowBudgetError(
+            f"flow neither converged nor escaped in {report.iterations} sweeps", report)
     hartman = None
     if reference_distance is not None and len(sups) > 1:
         hartman = all(b <= a + 1e-10 for a, b in zip(sups[:-1], sups[1:]))

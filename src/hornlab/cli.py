@@ -32,7 +32,7 @@ from .asymptotics import (
     scaling_fit,
     substitution_check,
 )
-from .errors import BasinError, HornlabError
+from .errors import BasinError, FlowBudgetError, HornlabError
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -150,7 +150,7 @@ def cmd_axis(args) -> int:
     seed_path = equivariant_seed(space, iso, base, args.nodes)
     try:
         ax = compute_axis(iso, seed_path, tol=args.tol)
-    except BasinError as exc:
+    except (BasinError, FlowBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INCONCLUSIVE
     out = _out_dir(args)

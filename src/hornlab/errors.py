@@ -55,3 +55,12 @@ class QuadratureError(HornlabError):
 
 class BasinError(HornlabError):
     """Heat flow escaped toward a stratum: seed outside the basin."""
+
+
+class FlowBudgetError(HornlabError):
+    """Heat flow spent its iteration budget neither converged nor escaped;
+    carries the flow's ``FlowReport``."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report

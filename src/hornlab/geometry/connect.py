@@ -23,7 +23,10 @@ bounds all go through it.  Factor solvers:
   substitution.
 * b3-coupled charts: damped-Newton shooting on the initial velocity with
   a curve-shortening fallback on dyadically refined polylines, one banded
-  LU solve per descent step.
+  LU solve per descent step.  Each shoot integrates the base velocity
+  together with d partner rows ``v + delta e_k`` on the base row's step
+  sequence, so the shoot that accepts a Newton step also yields the
+  finite-difference Jacobian of the next one.
 
 Every factor solver is symmetric in its endpoints by construction, so
 distances come out exactly symmetric.  Lengths from the first-integral
@@ -61,7 +64,7 @@ from .spaces import (
     points_equal,
     tangent_from_chart,
 )
-from .shoot import GeodesicSegment, geodesic_shoot
+from .shoot import GeodesicSegment, geodesic_shoot, shoot_rows
 from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
 # ---------------------------------------------------------------------------
@@ -493,15 +496,22 @@ CS_GRAD_TOL = 1e-13   # energy gradient, relative to max(1, energy), at rest
 CS_INNER_ITERS = 120  # descent steps per refinement level
 
 
-def _shoot_endpoint(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
-    p0 = point_from_chart(space, x0)
+def _shoot_with_jacobian(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
+    """``exp_x0(v)`` and its Jacobian in v from one integration of the rows
+    ``v, v + delta e_k``, all scaled by the base speed L so that every row
+    ends at s = L; ``(None, None)`` if the base row snaps, and J is None
+    if a partner row snaps or goes non-finite."""
     speed = math.sqrt(v @ metric_at_chart(space, x0) @ v)
     if speed == 0.0:
-        return None
-    seg = geodesic_shoot(space, p0, tangent_from_chart(space, v), speed, atol=1e-12)
-    if seg.hit_stratum:
-        return None
-    return chart_vector(space, seg.end)
+        return None, None
+    delta = 1e-7 * max(1.0, float(np.linalg.norm(v)))
+    rows = np.vstack([v, v + delta * np.eye(len(v))]) / speed
+    run = shoot_rows(space, x0, rows, speed, atol=1e-12)
+    if run.hit:
+        return None, None
+    end = run.end[:, :len(v)]
+    J = (end[1:] - end[0]).T / delta if len(end) > 1 else None
+    return end[0], J
 
 
 def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
@@ -512,7 +522,11 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     within ``SHOOT_TOL``, checked before each of the ``newton_iters``
     steps and after the last; raises ConnectError when the guess budget
     is exhausted.  Initial guesses are the chart chord and its rotations
-    by +-30 degrees in successive coordinate planes.
+    by +-30 degrees in successive coordinate planes.  Each shoot carries
+    d partner rows on the base row's step sequence for the finite-difference
+    Jacobian, so the shoot that accepts a line-search candidate also yields
+    the next step's Jacobian.  A partner row that snaps or goes non-finite
+    ends Newton for the guess; the base row's IntegrationError propagates.
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
@@ -532,25 +546,12 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     tol = SHOOT_TOL * (1.0 + float(np.linalg.norm(x1)))
     for v0 in guesses:
         v = v0.astype(float)
-        end = _shoot_endpoint(space, x0, v)
+        end, J = _shoot_with_jacobian(space, x0, v)
         if end is None:
             continue
         res = float(np.linalg.norm(end - x1))
         for _ in range(newton_iters):
-            if res <= tol:
-                break
-            delta = 1e-7 * max(1.0, float(np.linalg.norm(v)))
-            J = np.empty((d, d))
-            usable = True
-            for k in range(d):
-                vv = v.copy()
-                vv[k] += delta
-                end_k = _shoot_endpoint(space, x0, vv)
-                if end_k is None:
-                    usable = False
-                    break
-                J[:, k] = (end_k - end) / delta
-            if not usable:
+            if res <= tol or J is None:
                 break
             try:
                 step = np.linalg.solve(J, x1 - end)
@@ -560,11 +561,11 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
             lam = 1.0
             for _ in range(20):
                 cand = v + lam * step
-                end_c = _shoot_endpoint(space, x0, cand)
+                end_c, J_c = _shoot_with_jacobian(space, x0, cand)
                 if end_c is not None:
                     res_c = float(np.linalg.norm(end_c - x1))
                     if res_c < res:
-                        v, end, res = cand, end_c, res_c
+                        v, end, J, res = cand, end_c, J_c, res_c
                         improved = True
                         break
                 lam *= 0.5
@@ -722,17 +723,25 @@ class _GroupPath:
             self._flip = True
         else:
             self._flip = False
+        self._start = p
         try:
-            v, length = shooting_connect(sub_space, p, q)
-            self._seg = geodesic_shoot(
-                sub_space, p, tangent_from_chart(sub_space, v), length, atol=1e-12
-            )
+            self._v, self._shot_length = shooting_connect(sub_space, p, q)
             self._poly = None
-            self.length = length + extra
+            self.length = self._shot_length + extra
         except ConnectError:
-            self._seg = None
+            self._v = None
             self._poly = curve_shortening_connect(sub_space, p, q)
             self.length = self._poly.length + extra
+
+    @cached_property
+    def _seg(self) -> GeodesicSegment | None:
+        """The sampled shot geodesic, built on first use: ``distance``
+        needs only the length."""
+        if self._v is None:
+            return None
+        return geodesic_shoot(self.sub_space, self._start,
+                              tangent_from_chart(self.sub_space, self._v),
+                              self._shot_length, atol=1e-12)
 
     @staticmethod
     def _pull_off_boundary(sub_space, blocks, other_blocks):

@@ -1,16 +1,24 @@
 """Geodesic initial value solver.
 
 Integrates the geodesic equation of the chart metric with an embedded
-Dormand-Prince 5(4) pair.  Near horn factors the step is additionally
-capped at ``xi / 4`` because the curvature ``-3/(2 xi^2)`` blows up as a
-block approaches its collapsed axis.  When a horn coordinate falls below
-the snap threshold the run terminates on the stratum and the endpoint is
-canonicalized to the boundary marker.
+Dormand-Prince 5(4) pair over a stack of states ``(x, v)``, one per row.
+Row 0, the base row, alone sets the step size, error norm, step cap,
+snap test and step underflow, so it follows the trajectory a one-row
+shoot integrates; the other rows ride its step sequence, and shooting
+differences their endpoints for its Jacobian (internal numerical
+differentiation, Bock 1981).  Near horn factors the step is capped at
+``xi / 4`` because the curvature ``-3/(2 xi^2)`` blows up as a block
+approaches its collapsed axis.  When a horn coordinate of the base row
+falls below the snap threshold the run terminates on the stratum and the
+endpoint is canonicalized to the boundary marker; a partner row that
+snaps or goes non-finite drops all partners.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +35,10 @@ from .spaces import (
 )
 from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
-# Dormand-Prince 5(4) tableau
-_A = (
+# Dormand-Prince 5(4) tableau: stage i combines stages 0..i-1 with _A[i].
+# The last row is the fifth-order solution, where stage 6 is evaluated, so
+# an accepted step's stage 6 is the next step's stage 0.
+_A = [np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -36,17 +46,17 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+)]
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_ERR = _B5 - _B4
+_ERR = np.append(_A[6], 0.0) - _B4
 
 
 def acceleration_fn(space: SpaceSpec):
     """Return ``accel(x, v)`` for the geodesic equation of the chart metric.
 
+    ``x`` and ``v`` are one chart state (1-D) or rows of states (2-D).
     Uncoupled charts sum the exact accelerations of the factors' warp
     profiles.  A coupled chart solves ``g a = -w`` with
     ``w_l = d_i g_jl v^i v^j - 1/2 d_l g_ij v^i v^j`` from the exact metric
@@ -55,8 +65,12 @@ def acceleration_fn(space: SpaceSpec):
     if space.coupled:
 
         def accel_coupled(x, v):
-            T = metric_grad_batch(space, x) @ v  # T[l, i] = d_l g_ij v^j
-            return -np.linalg.solve(metric_batch(space, x), v @ T - 0.5 * (T @ v))
+            if x.ndim == 1:
+                T = metric_grad_batch(space, x) @ v  # T[l, i] = d_l g_ij v^j
+                return -np.linalg.solve(metric_batch(space, x), v @ T - 0.5 * (T @ v))
+            T = (metric_grad_batch(space, x) @ v[:, None, :, None])[..., 0]
+            w = v[:, None, :] @ (T - 0.5 * T.transpose(0, 2, 1))  # (m, 1, d)
+            return -np.linalg.solve(metric_batch(space, x), w.transpose(0, 2, 1))[..., 0]
 
         return accel_coupled
 
@@ -66,7 +80,7 @@ def acceleration_fn(space: SpaceSpec):
     def accel(x, v):
         a = np.zeros_like(x)
         for k, prof in pieces:
-            a[k], a[k + 1] = prof.accel(x[k + 1], v[k], v[k + 1])
+            a[..., k], a[..., k + 1] = prof.accel(x[..., k + 1], v[..., k], v[..., k + 1])
         return a
 
     return accel
@@ -75,6 +89,107 @@ def acceleration_fn(space: SpaceSpec):
 def speed_at(space: SpaceSpec, x: np.ndarray, v: np.ndarray) -> float:
     g = metric_at_chart(space, x)
     return float(np.sqrt(v @ g @ v))
+
+
+class RowShoot(NamedTuple):
+    """Result of :func:`shoot_rows`."""
+
+    s: np.ndarray     # arclength at the accepted steps, from 0
+    base: np.ndarray  # the base row's state ``(x, v)`` there, one per row
+    end: np.ndarray   # final states of all rows, or of the base row alone
+    hit: bool         # the base row stopped on the snap threshold
+
+
+def shoot_rows(space: SpaceSpec, x: np.ndarray, V: np.ndarray, arclength: float, *,
+               atol: float = 1e-10, h_max: float = 0.25,
+               min_step: float = 1e-14) -> RowShoot:
+    """Integrate geodesics from chart point x with chart velocities V.
+
+    Each row of V starts one geodesic; all of them run for ``arclength``
+    on the step sequence that row 0 chooses (see the module docstring).
+    Raises IntegrationError when the base row's step underflows
+    ``min_step``.  ``end`` keeps one row when a partner row snapped or
+    went non-finite, or when the base row snapped.
+    """
+    accel = acceleration_fn(space)
+    n = space.dim
+    w = 2 * n  # one state; the stack is flat, the base row first
+    xi_idx = np.array(space.xi_offsets, dtype=int)
+    y = np.concatenate([np.broadcast_to(x, V.shape), V], axis=1).ravel()
+    k = np.empty((7, y.size))  # stage derivatives, one flat stack per stage
+
+    def rhs(y, out):
+        if len(y) == w:  # one state costs less in the scalar arithmetic of 1-D input
+            out[:n] = y[n:]
+            out[n:] = accel(y[:n], y[n:])
+            return
+        Y, O = y.reshape(-1, w), out.reshape(-1, w)
+        O[:, :n] = Y[:, n:]
+        O[:, n:] = accel(Y[:, :n], Y[:, n:])
+
+    def step_once(y, h):
+        """Trial step from y, whose derivative is k[0]: the fifth-order
+        state (stage 6 evaluated there) and row 0's error norm."""
+        for i in range(1, 7):
+            yi = y + h * (_A[i] @ k[:i])
+            rhs(yi, k[i])
+        r = h * (_ERR @ k[:, :w]) / (atol * (1.0 + np.abs(yi[:w])))
+        return yi, math.sqrt(float(r @ r) / w)
+
+    def level(y):
+        """Lowest horn level over the flat states y, inf without horns."""
+        return float(y.reshape(-1, w)[:, xi_idx].min()) if xi_idx.size else math.inf
+
+    def cap(y):
+        return min(h_max, max(level(y[:w]), XI_SNAP) / 4.0)
+
+    rhs(y, k[0])
+    s = 0.0
+    s_nodes = [0.0]
+    states = [y[:w].copy()]
+    hit = False
+    h = min(cap(y), arclength)
+
+    while s < arclength * (1.0 - 1e-15):
+        h = min(h, arclength - s, cap(y))
+        if h < min_step:
+            raise IntegrationError(
+                "step size underflow during geodesic integration",
+                last_state=(s, y[:w].copy()),
+            )
+        y_new, enorm = step_once(y, h)
+        if enorm > 1.0:
+            h *= max(0.2, 0.9 * enorm ** (-0.2))
+            continue
+        if level(y_new[:w]) < XI_SNAP:
+            # bisect the step so the base row lands on the snap threshold
+            y, k = y[:w], np.ascontiguousarray(k[:, :w])
+            lo_h, hi_h = 0.0, h
+            for _ in range(60):
+                mid = 0.5 * (lo_h + hi_h)
+                if level(step_once(y, mid)[0]) < XI_SNAP:
+                    hi_h = mid
+                else:
+                    lo_h = mid
+                if hi_h - lo_h <= 1e-16 * max(h, 1.0):
+                    break
+            if lo_h > 0:
+                y = step_once(y, lo_h)[0]
+                s += lo_h
+                s_nodes.append(s)
+                states.append(y.copy())
+            hit = True
+            break
+        s += h
+        y = y_new
+        k[0] = k[6]
+        if len(y) > w and (level(y[w:]) < XI_SNAP or not np.isfinite(y[w:]).all()):
+            y, k = y[:w], np.ascontiguousarray(k[:, :w])
+        s_nodes.append(s)
+        states.append(y[:w].copy())
+        h = h * min(5.0, max(0.2, 0.9 * (enorm + 1e-16) ** (-0.2)))
+
+    return RowShoot(np.array(s_nodes), np.array(states), y.reshape(-1, w), hit)
 
 
 @dataclass
@@ -150,88 +265,17 @@ def geodesic_shoot(
     sp0 = speed_at(space, x, v)
     if sp0 == 0 or not np.isfinite(sp0):
         raise ValueError("velocity must be nonzero with finite norm")
-    v = v / sp0
+    run = shoot_rows(space, x, (v / sp0)[None, :], arclength,
+                     atol=atol, h_max=h_max, min_step=min_step)
 
-    accel = acceleration_fn(space)
-    xi_pos = space.xi_offsets
     n = space.dim
-
-    def rhs(y):
-        out = np.empty_like(y)
-        out[:n] = y[n:]
-        out[n:] = accel(y[:n], y[n:])
-        return out
-
-    def step_once(y, h):
-        k = np.empty((7, 2 * n))
-        k[0] = rhs(y)
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = rhs(yi)
-        y5 = y + h * (_B5 @ k)
-        err = h * (_ERR @ k)
-        scale = atol * (1.0 + np.abs(y5))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        return y5, enorm
-
-    def cap(yv):
-        lim = h_max
-        for j in xi_pos:
-            lim = min(lim, max(yv[j], XI_SNAP) / 4.0)
-        return lim
-
-    y = np.concatenate([x, v])
-    s = 0.0
-    s_nodes = [0.0]
-    states = [y.copy()]
-    hit = False
-    h = min(cap(y), arclength)
-
-    while s < arclength * (1.0 - 1e-15):
-        h = min(h, arclength - s, cap(y))
-        if h < min_step:
-            raise IntegrationError(
-                "step size underflow during geodesic integration",
-                last_state=(s, y.copy()),
-            )
-        y_new, enorm = step_once(y, h)
-        if enorm > 1.0:
-            h *= max(0.2, 0.9 * enorm ** (-0.2))
-            continue
-        if any(y_new[j] < XI_SNAP for j in xi_pos):
-            # bisect the step so the run lands on the snap threshold
-            lo_h, hi_h = 0.0, h
-            for _ in range(60):
-                mid = 0.5 * (lo_h + hi_h)
-                y_mid, _ = step_once(y, mid)
-                if any(y_mid[j] < XI_SNAP for j in xi_pos):
-                    hi_h = mid
-                else:
-                    lo_h = mid
-                if hi_h - lo_h <= 1e-16 * max(h, 1.0):
-                    break
-            if lo_h > 0:
-                y, _ = step_once(y, lo_h)
-                s += lo_h
-                s_nodes.append(s)
-                states.append(y.copy())
-            hit = True
-            break
-        s += h
-        y = y_new
-        s_nodes.append(s)
-        states.append(y.copy())
-        h = h * min(5.0, max(0.2, 0.9 * (enorm + 1e-16) ** (-0.2)))
-
-    s_arr = np.array(s_nodes)
-    states = np.array(states)
-    chart = states[:, :n]
-    chart_v = states[:, n:]
-    speeds = np.array([speed_at(space, c, w) for c, w in zip(chart, chart_v)])
+    chart, chart_v = run.base[:, :n], run.base[:, n:]
+    G = metric_batch(space, chart)
+    speeds = np.sqrt(np.einsum("ki,kij,kj->k", chart_v, G, chart_v))
     pts = [point_from_chart(space, c) for c in chart[:-1]]
-    pts.append(_final_point(space, chart[-1], snapped=hit))
-    total = float(s_arr[-1])
-    params = s_arr / total if total > 0 else s_arr
+    pts.append(_final_point(space, chart[-1], snapped=run.hit))
+    total = float(run.s[-1])
+    params = run.s / total if total > 0 else run.s
     return GeodesicSegment(
         space=space,
         start=point,
@@ -240,7 +284,7 @@ def geodesic_shoot(
         params=params,
         points=pts,
         speeds=speeds,
-        hit_stratum=hit,
+        hit_stratum=run.hit,
         chart=chart,
         chart_velocity=chart_v,
     )

@@ -81,6 +81,8 @@ class WarpProfile:
         return self.B * xi**6 * (1.0 + self.c6 * xi**6)
 
     def fp(self, xi):
+        if self.c6 == 0.0:
+            return self.B * (6.0 * xi**5)
         return self.B * (6.0 * xi**5 + 12.0 * self.c6 * xi**11)
 
     def fpp(self, xi):
@@ -92,6 +94,8 @@ class WarpProfile:
         return 4.0 * self.B * (1.0 + self.a4 * xi**4)
 
     def hp(self, xi):
+        if self.a4 == 0.0:
+            return 0.0
         return 16.0 * self.B * self.a4 * xi**3
 
     def f_minus(self, xi, xi0, dx=None):
@@ -362,6 +366,15 @@ class SpaceSpec:
         object.__setattr__(self, "factors", factors)
         if self.coupled_ids and self.euclid_index is None:
             raise ValueError("b3 coupling needs a Euclidean factor in the space")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: spaces key the metric layout
+        cache, which integrators consult at every step."""
+        return hash((self.factors,))
 
     @property
     def dim(self) -> int:

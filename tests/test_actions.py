@@ -25,7 +25,7 @@ from hornlab.actions import (
     random_point,
     translation_length,
 )
-from hornlab.errors import BasinError
+from hornlab.errors import BasinError, FlowBudgetError
 from hornlab.geometry import (
     Euclidean,
     Horn,
@@ -288,6 +288,17 @@ def test_axis_escape_raises():
     seed = DiscretePath(HORN, nodes, periodic_shift=tr)
     with pytest.raises(BasinError):
         axis(tr, seed, max_iter=120)
+
+
+def test_axis_out_of_budget_raises():
+    # three sweeps leave the z4 flow far from its axis (nodes at |x|/y up
+    # to 0.7); a period read off there would be 1.6556 against ln 4
+    seed = equivariant_seed(HYP, z4(), make_point(HYP, [(0.8, 1.0)]), 16)
+    with pytest.raises(FlowBudgetError) as info:
+        axis(z4(), seed, max_iter=3)
+    report = info.value.report
+    assert report.iterations == 3
+    assert not report.converged and not report.escaped
 
 
 def test_axis_hartman_monotonicity():

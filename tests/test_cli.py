@@ -140,6 +140,18 @@ def test_flags_only_where_read():
     assert main(["classify", "--tol", "1e-3", "--space", HYP_SPACE, "--iso", Z4]) == 3
 
 
+def test_axis_out_of_budget_is_inconclusive(monkeypatch, capsys):
+    real_axis = cli_mod.compute_axis
+    monkeypatch.setattr(cli_mod, "compute_axis",
+                        lambda iso, seed_path, tol: real_axis(iso, seed_path, tol, max_iter=3))
+    rc = main(["axis", "--space", HYP_SPACE, "--iso", Z4,
+               "--base", '{"blocks":[{"coords":[0.8,1.0]}]}'])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "neither converged nor escaped" in captured.err
+
+
 def test_diverge_passes_tol_to_both_axes(monkeypatch, capsys):
     seen = []
 
