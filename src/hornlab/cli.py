@@ -174,8 +174,12 @@ def cmd_diverge(args) -> int:
     iso2 = isometry_from_json(space, _load_json_arg(args.iso2))
     base = point_from_json(space, _load_json_arg(args.base))
     r_grid = [float(v) for v in args.rgrid.split(",")]
-    ax1 = compute_axis(iso1, equivariant_seed(space, iso1, base, args.nodes), tol=args.tol)
-    ax2 = compute_axis(iso2, equivariant_seed(space, iso2, base, args.nodes), tol=args.tol)
+    try:
+        ax1 = compute_axis(iso1, equivariant_seed(space, iso1, base, args.nodes), tol=args.tol)
+        ax2 = compute_axis(iso2, equivariant_seed(space, iso2, base, args.nodes), tol=args.tol)
+    except (BasinError, FlowBudgetError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return INCONCLUSIVE
     prof = divergence_profile(ax1, ax2, r_grid)
     out = _out_dir(args)
     if out is not None:

@@ -13,9 +13,11 @@ bounds all go through it.  Factor solvers:
   ``tau = ln tan(alpha/2)`` along an arc.
 * Horn-type blocks: radial lines when the angles agree or an endpoint is
   the collapsed axis; otherwise the rotational first integral
-  ``c = f(xi) theta'`` fixes a (possibly virtual) turning level, found
-  by one log-scale bracket walker, and the geodesic is one monotone leg
-  or two legs meeting there; points invert a leg's arclength.  The
+  ``c = f(xi) theta'`` fixes a (possibly virtual) turning level, and the
+  geodesic is one monotone leg or two legs meeting there; points invert
+  a leg's arclength.  Every root find of these solves (dip depth, leg
+  arclength, radial arclength) is one safeguarded Newton iteration on
+  closed-form slopes, :func:`_newton_root`.  The
   branch integrals are incomplete beta functions for pure-power profiles
   (``Horn``, and ``PerturbedHorn`` with ``a4 = c6 = 0``); profiles with
   ``a4`` or ``c6`` > 0, and branches starting farther from the turning
@@ -42,7 +44,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 from scipy.special import beta, betainc
 
 from ..errors import ConnectError, DistanceIntervalError, IntegrationError
@@ -206,6 +207,68 @@ def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
         return float(np.sum(np.nan_to_num(term, nan=0.0, posinf=0.0)))
 
 
+def _pure_theta_slope(xi_star: float, off: float, span: float, theta: float) -> float:
+    """``d theta / d xi*`` of a pure-power branch at fixed end levels.
+
+    With ``theta = F(xi / xi*) / xi*^2``, each end level ``xi`` moves the
+    angle by ``-2 u^(5/6) / (sqrt(1 - u) xi*^3)`` (the lower end only
+    when it is not the turning level itself), and the prefactor by
+    ``-2 theta / xi*``.  Infinite where ``1 - u`` underflows.
+    """
+
+    def end(dx):
+        u, v = _u_pair(xi_star, dx)
+        return u ** (5.0 / 6.0) / math.sqrt(v) if v > 0.0 else math.inf
+
+    ends = end(off + span) - (end(off) if off > 0.0 else 0.0)
+    return -2.0 * ends / xi_star**3 - 2.0 * theta / xi_star
+
+
+# ---------------------------------------------------------------------------
+# one safeguarded Newton iteration for every root find of the horn solver
+
+ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # step size that ends a root find, relative
+ROOT_MAX_ITER = 200  # evaluations; bisection alone needs about 60 on a bracket
+
+
+def _newton_root(fn, x: float, a: float, fa: float, b: float, fb: float,
+                 atol: float = 0.0) -> float:
+    """Root of ``fn`` in the bracket ``[a, b]``, started from x in it.
+
+    ``fa`` and ``fb`` are the residuals at the bracket ends, of opposite
+    signs and possibly infinite; they are taken as given and never
+    evaluated again.  ``fn(x)`` returns the residual and its slope.  Each
+    evaluation shrinks the bracket; a Newton step that would leave it, or
+    that is not at most half the step before last, gives way to
+    bisection.  A step below ``ROOT_RTOL |x| + atol`` ends the search and
+    is taken without another evaluation.  Raises ConnectError when the
+    ends do not bracket a root or ``ROOT_MAX_ITER`` evaluations do not
+    settle it.
+    """
+    if (fa < 0.0) == (fb < 0.0):
+        raise ConnectError("root find: the bracket ends have the same sign")
+    step = step_old = b - a
+    for _ in range(ROOT_MAX_ITER):
+        fx, slope = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a = x
+        else:
+            b = x
+        newton = -fx / slope if 0.0 < abs(slope) < math.inf else math.inf
+        tol = ROOT_RTOL * abs(x) + atol
+        if abs(newton) <= tol:  # may sit below the float resolution of x
+            return min(max(x + newton, a), b)
+        if not (a < x + newton < b and abs(newton) <= 0.5 * abs(step_old)):
+            newton = 0.5 * (a + b) - x
+        step_old, step = step, newton
+        if abs(step) <= tol:
+            return x + step
+        x += step
+    raise ConnectError("root find did not converge")
+
+
 def _radial_primitive(prof: WarpProfile):
     """H(xi) = integral of sqrt(h) from 0, plus its inverse."""
     if prof.a4 == 0.0:
@@ -218,12 +281,16 @@ def _radial_primitive(prof: WarpProfile):
         return _level_length(prof.h, 0.0, xi)
 
     def H_inv(length):
+        """Newton on ``H(x) - length`` with slope ``sqrt(h)``, from the
+        chord of the bracket [0, hi]: ``H >= 2 sqrt(B) xi`` puts the root
+        below the first ``hi``."""
         if length <= 0.0:
             return 0.0
         hi = length / (2.0 * math.sqrt(prof.B))
-        while H(hi) < length:
+        while (H_hi := H(hi)) < length:
             hi *= 2.0
-        return brentq(lambda x: H(x) - length, 0.0, hi, rtol=8.9e-16, xtol=1e-300)
+        return _newton_root(lambda x: (H(x) - length, math.sqrt(prof.h(x))),
+                            hi * (length / H_hi), 0.0, -length, hi, H_hi - length)
 
     return H, H_inv
 
@@ -335,17 +402,74 @@ class _RadialPath(_FactorPath):
         return (0.0, self._sgn / math.sqrt(self.prof.h(xi)))
 
 
-def _log_root(g, lam_hi: float, step: float, tries: int) -> float | None:
-    """Root of ``g`` below ``lam_hi`` in log scale: ``lam`` steps down by
-    ``step`` until ``g(lam) < 0``, at most ``tries`` times, and ``brentq``
-    runs on the last bracket; None when no sign change turns up."""
-    lam = lam_hi - step
-    for _ in range(tries):
-        if g(lam) < 0.0:
-            return brentq(g, lam, lam_hi, rtol=8.9e-16, xtol=1e-300, maxiter=300)
-        lam_hi = lam
-        lam -= step
-    return None
+#: ``lam = log delta`` of the smallest positive dip depth: the bottom of
+#: every dip-depth bracket, where the swept angle is the tangent angle
+LOG_TINY = math.log(math.ulp(0.0))
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """``log(a / b)`` for b > 0, negative whenever a < b; -inf where
+    ``a / b`` underflows."""
+    q = a / b
+    return math.log(q) if q > 0.0 else -math.inf
+
+
+def _dip_residual(prof: WarpProfile, lo: float, dth: float, branches, cap: float):
+    """Log residual ``log(theta / dth)`` of a dip-depth solve and its slope,
+    both in ``lam = log delta``, with ``delta = min(exp(lam), cap)``.
+
+    ``theta`` sums the angles swept on ``branches``, each
+    ``(rise, weight, from_lo)``: the levels from ``lo`` (when ``from_lo``)
+    or from the turning level ``xi* = lo - delta`` up to ``lo + rise``,
+    counted ``weight`` times.  Level offsets above ``xi*`` are carried
+    exactly as ``rise + delta``.  Where every branch takes the closed form
+    of :func:`_branch_integral`, so does the slope
+    (:func:`_pure_theta_slope`); on the panel route it is the secant
+    through the last evaluation, or that closed form on the first call.
+    """
+    pure = prof.a4 == 0.0 and prof.c6 == 0.0
+    last = []
+
+    def g(lam):
+        delta = min(math.exp(lam), cap)
+        xs = lo - delta
+        theta = d_theta = 0.0  # d_theta: d theta / d delta
+        closed = pure
+        for rise, weight, from_lo in branches:
+            off, span = (delta, rise) if from_lo else (0.0, rise + delta)
+            th = _branch_integral(prof, xs, off, span, "theta")
+            theta += weight * th
+            d_theta -= weight * _pure_theta_slope(xs, off, span, th)
+            closed = closed and off <= span
+        res = _log_ratio(theta, dth)
+        slope = delta * d_theta / theta if theta > 0.0 else math.inf
+        if last and not closed:
+            slope = (res - last[1]) / (lam - last[0])
+        last[:] = (lam, res)
+        return res, slope
+
+    return g
+
+
+def _shallow_dip(lo: float, excess: float, rise: float = math.inf) -> float | None:
+    """Shallow-dip asymptotic of the dip depth; None past ``lo / 6``.
+
+    Near ``lo`` a branch from the turning level up to ``delta + r`` above
+    it sweeps ``sqrt(delta + r) / c``, ``c = sqrt(6) lo^(5/2) / 4``.  The
+    branch leaving ``lo`` and one rising ``rise`` above it then sweep
+    ``excess`` beyond their tangent angles at ``sqrt(delta) =
+    E (E + 2 sqrt(r)) / (2 (E + sqrt(r)))``, ``E = c excess``: the
+    ``delta = lo v / 6``, ``sqrt(v) = 3 lo^2 excess / (2k)`` of k = 2
+    equal branches at r = 0 and of k = 1 (a monotone leg's lower end) as
+    r grows.  Past ``lo / 6``, v = 6 delta / lo would reach 1, and
+    ``v = 1 - (xi*/lo)^6`` cannot.
+    """
+    e = math.sqrt(6.0) * lo**2.5 * excess / 4.0
+    root_r = math.sqrt(rise)
+    root_delta = e if root_r == math.inf or e == 0.0 else (
+        e * (e + 2.0 * root_r) / (2.0 * (e + root_r)))
+    delta = root_delta * root_delta
+    return delta if delta < lo / 6.0 else None
 
 
 class _Leg(NamedTuple):
@@ -354,10 +478,11 @@ class _Leg(NamedTuple):
     ``length``, with angle ``theta_low`` at ``dx = 0`` (None on a turning
     path: the turning angle, computed on first use).
 
-    Arclength is inverted in ``u`` on [0, 1].  From a turning level
-    (``off = 0``) it grows like sqrt(dx), so ``dx = span u^2`` makes it
-    smooth in u, the kernel's own substitution; above one (``off > 0``)
-    it is smooth in dx already and ``dx = span u``.
+    Arclength is inverted in ``u`` on [0, 1] by :func:`_newton_root`, with
+    the length integrand times ``dx/du`` as slope.  From a turning level
+    (``off = 0``) arclength grows like sqrt(dx), so ``dx = span u^2``
+    makes it smooth in u, the kernel's own substitution; above one
+    (``off > 0``) it is smooth in dx already and ``dx = span u``.
     """
 
     off: float
@@ -374,10 +499,11 @@ class _WarpedPath(_FactorPath):
     ``xi* = lo - delta`` below the lower endpoint.  An angle gap no larger
     than the one swept by the path tangent at ``lo`` gives one monotone
     leg (``off = delta``); a larger one gives two legs that meet at ``xi*``.
-    Both dip-depth solves run in log scale of delta through
-    :func:`_log_root`: the swept angle is monotone in delta on each branch,
-    and shallow dips keep full relative accuracy even when delta is far
-    below one ulp of the endpoint levels.
+    Both dip-depth solves are :func:`_newton_root` in ``lam = log delta``
+    on the bracket [LOG_TINY, log lo], where the swept angle is monotone,
+    started from the dip-depth asymptotics (:func:`_shallow_dip` and the
+    deep-dip limits); shallow dips keep full relative accuracy even when
+    delta is far below one ulp of the endpoint levels.
     """
 
     def __init__(self, prof: WarpProfile, p1: HornPoint, p2: HornPoint):
@@ -388,13 +514,13 @@ class _WarpedPath(_FactorPath):
         lo, hi = min(p1.xi, p2.xi), max(p1.xi, p2.xi)
         tan_dth = _branch_integral(prof, lo, 0.0, hi - lo, "theta") if p1.xi != p2.xi else 0.0
         if dth <= tan_dth:
-            delta = self._solve_mono(prof, lo, hi, dth)
+            delta = self._solve_mono(prof, lo, hi, dth, tan_dth)
             self.xi_star = xs = lo - delta
             down = p2.xi < p1.xi
             length = _branch_integral(prof, xs, delta, hi - lo, "len")
             self.legs = (_Leg(delta, hi - lo, down, length, p2.theta if down else p1.theta),)
         else:
-            delta = self._solve_turning(prof, lo, p1.xi, p2.xi, dth)
+            delta = self._solve_turning(prof, lo, p1.xi, p2.xi, dth, tan_dth)
             self.xi_star = xs = lo - delta
             span1, span2 = (p1.xi - lo) + delta, (p2.xi - lo) + delta
             L1 = _branch_integral(prof, xs, 0.0, span1, "len")
@@ -403,30 +529,55 @@ class _WarpedPath(_FactorPath):
         self.length = sum(leg.length for leg in self.legs)
 
     @staticmethod
-    def _solve_mono(prof, lo, hi, dth):
-        def g(lam):
-            delta = min(math.exp(lam), lo)  # exp/log round trips may overshoot
-            return dth - _branch_integral(prof, lo - delta, delta, hi - lo, "theta")
-
-        lam = _log_root(g, math.log(lo), 2.0, 400)  # delta = lo: xi* = 0, no swept angle
-        if lam is None:
+    def _solve_mono(prof, lo, hi, dth, tan):
+        """Dip depth of a monotone leg: the swept angle falls from the
+        tangent angle ``tan`` at delta = 0 to nothing at delta = lo (xi* = 0).
+        The start is the shallow dip while it stays below half the leg's
+        span, else the thin-leg model, else a deep dip under a thick leg,
+        which sweeps ``(2/5) xi*^3 (lo^-5 - hi^-5)``."""
+        if dth == tan:
             return 0.0  # tangent-degenerate: xi* sits at the lower level
+        span = hi - lo
+        delta = _shallow_dip(lo, tan - dth)
+        if delta is None or delta > 0.5 * span:
+            # a leg thin against its dip sweeps span times the angle density
+            # at lo, 2 sqrt(u / (1 - u)) / lo^3 with u = (xi*/lo)^6
+            r = dth * lo**3 / (2.0 * span)
+            u = 1.0 / (1.0 + (1.0 / r) ** 2) if r > 1.0 else r * r / (1.0 + r * r)
+            xs = lo * u ** (1.0 / 6.0)
+            if lo - xs < span:  # a thick leg over a deep dip
+                xs = (2.5 * dth * lo**5 / -math.expm1(5.0 * math.log1p(-span / hi))) ** (1.0 / 3.0)
+            delta = lo - min(xs, 0.5 * lo)
+        g = _dip_residual(prof, lo, dth, [(span, 1.0, True)], lo)
+        lam = _newton_root(g, math.log(max(delta, math.ulp(0.0))),
+                           LOG_TINY, _log_ratio(tan, dth), math.log(lo), -math.inf,
+                           atol=ROOT_RTOL)
         return min(math.exp(lam), lo)
 
     @staticmethod
-    def _solve_turning(prof, lo, x1, x2, dth):
-        def g(lam):
-            delta = min(math.exp(lam), lo * (1.0 - 1e-16))
-            th1 = _branch_integral(prof, lo - delta, 0.0, (x1 - lo) + delta, "theta")
-            th2 = th1 if x1 == x2 else _branch_integral(
-                prof, lo - delta, 0.0, (x2 - lo) + delta, "theta")
-            return th1 + th2 - dth
-
+    def _solve_turning(prof, lo, x1, x2, dth, tan):
+        """Dip depth of a turning path: the swept angle grows from the
+        tangent angle ``tan`` at delta = 0 without bound as xi* falls to 0.
+        The start is the shallow dip, else a deep one, where each of the k
+        branches leaving ``lo`` sweeps ``B(5/6, 1/2) / (3 xi*^2)``."""
+        cap = lo * (1.0 - 1e-16)
+        if x1 == x2:
+            k, branches = 2, [(x1 - lo, 2.0, False)]
+        else:
+            k, branches = 1, [(x1 - lo, 1.0, False), (x2 - lo, 1.0, False)]
         lam_hi = math.log(lo)
-        lam = None if g(lam_hi) <= 0.0 else _log_root(g, lam_hi, 4.0, 800)
-        if lam is None:
+        # a residual of its own, so the solve's first secant does not reach back here
+        g_hi = _dip_residual(prof, lo, dth, branches, cap)(lam_hi)[0]
+        if not g_hi > 0.0:
             raise ConnectError("turning-level bracket failed")
-        return min(math.exp(lam), lo * (1.0 - 1e-16))
+        excess = dth - tan
+        delta = _shallow_dip(lo, excess, max(x1, x2) - lo)
+        if delta is None:
+            delta = lo - min(math.sqrt(k * _BETA / (3.0 * excess)), 0.5 * lo)
+        lam = _newton_root(_dip_residual(prof, lo, dth, branches, cap),
+                           math.log(max(delta, math.ulp(0.0))),
+                           LOG_TINY, _log_ratio(tan, dth), lam_hi, g_hi, atol=ROOT_RTOL)
+        return min(math.exp(lam), cap)
 
     @cached_property
     def _turn_theta(self) -> float:
@@ -446,11 +597,19 @@ class _WarpedPath(_FactorPath):
             return leg, 0.0
         if t >= leg.length:
             return leg, leg.span
-        power = 2 if leg.off == 0.0 else 1
-        g = lambda u: _branch_integral(
-            self.prof, self.xi_star, leg.off, leg.span * u**power, "len") - t
-        u = brentq(g, 0.0, 1.0, rtol=8.9e-16, xtol=1e-300, maxiter=300)
-        return leg, leg.span * u**power
+        prof, xs, off, span = self.prof, self.xi_star, leg.off, leg.span
+        power = 2 if off == 0.0 else 1
+
+        def g(u):
+            dx = span * u**power
+            xi = xs + (off + dx)
+            f_minus = prof.f_minus(xi, xs, off + dx)
+            dens = math.sqrt(prof.h(xi) * prof.f(xi) / f_minus) if f_minus > 0.0 else math.inf
+            return (_branch_integral(prof, xs, off, dx, "len") - t,
+                    dens * power * span * u ** (power - 1))
+
+        u = _newton_root(g, t / leg.length, 0.0, -t, 1.0, leg.length - t)
+        return leg, span * u**power
 
     def point(self, s):
         leg, dx = self._locate(s)
@@ -735,8 +894,8 @@ class _GroupPath:
 
     @cached_property
     def _seg(self) -> GeodesicSegment | None:
-        """The sampled shot geodesic, built on first use: ``distance``
-        needs only the length."""
+        """The sampled shot geodesic, built on first use for velocities:
+        ``distance`` needs only the length, and points are shot again."""
         if self._v is None:
             return None
         return geodesic_shoot(self.sub_space, self._start,
@@ -759,12 +918,18 @@ class _GroupPath:
         return out, extra
 
     def blocks_at(self, s):
+        """Blocks at parameter s; a shot geodesic is shot again, from its
+        start at its unit initial velocity, for the arclength asked for."""
         frac = 0.0 if self.length == 0 else min(max(s / self.length, 0.0), 1.0)
         if self._flip:
             frac = 1.0 - frac
-        if self._seg is not None:
-            return list(self._seg.point_at(frac).blocks)
-        x = self._poly.chart_at_fraction(frac)
+        if self._v is not None:
+            x0 = chart_vector(self.sub_space, self._start)
+            run = shoot_rows(self.sub_space, x0, (self._v / self._shot_length)[None, :],
+                             frac * self._shot_length, atol=1e-12)
+            x = run.end[0, :self.sub_space.dim]
+        else:
+            x = self._poly.chart_at_fraction(frac)
         return list(point_from_chart(self.sub_space, x).blocks)
 
     def velocity_blocks_at(self, s):

@@ -96,6 +96,14 @@ def _segments(space: SpaceSpec, pairs) -> tuple[list[float], float]:
     return seg, len(seg) * sum(d ** 2 for d in seg)
 
 
+def _level_resolution(space: SpaceSpec, nodes) -> float:
+    """Longest metric move of one ulp in a horn level over the nodes: a
+    sweep cannot show a node moving by less; 0 without horn blocks."""
+    levels = [(space.factors[i].profile, pt.blocks[i].xi) for i in space.horn_indices
+              for pt in nodes if isinstance(pt.blocks[i], HornPoint)]
+    return max((math.sqrt(prof.h(xi)) * math.ulp(xi) for prof, xi in levels), default=0.0)
+
+
 def path_length(path: DiscretePath) -> float:
     """Sum of segment distances over one period."""
     return sum(_segments(path.space, path.segment_endpoints())[0])
@@ -182,8 +190,12 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
     stratum, or when the flow fails to converge while the smallest horn
     coordinate drifts down: over the second half of the run it ends at
     its lowest, below where that half began (the compactness hypothesis
-    of long-time existence has no analogue then).  ``on_iterate`` is
-    called with the node list after every sweep.
+    of long-time existence has no analogue then).  The run also ends,
+    unconverged, once one ulp of a horn level is a longer move than the
+    stopping test allows (:func:`_level_resolution`): segments next to a
+    stratum shrink like xi^3, the sweeps then stall at rounding level and
+    could only stop on a float fixed point.  ``on_iterate`` is called
+    with the node list after every sweep.
     """
     space = path.space
     gamma = path.periodic_shift
@@ -225,7 +237,10 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
             if mx <= XI_SNAP * (1.0 + 1e-9) and not boundary_declared:
                 escaped = True
                 break
-        if max_disp <= tol * sum(seg) / n:
+        step_tol = tol * sum(seg) / n
+        if step_tol < _level_resolution(space, nodes):
+            break  # a stall, not convergence; the drift test below reads it
+        if max_disp <= step_tol:
             converged = True
             break
     if not converged and not escaped and len(min_xi_series) >= 10:

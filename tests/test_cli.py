@@ -6,6 +6,7 @@ import pytest
 import hornlab.cli as cli_mod
 from hornlab.actions import DivergenceReport
 from hornlab.cli import main
+from hornlab.errors import BasinError, FlowBudgetError
 
 HORN_SPACE = '{"factors":[{"kind":"horn"}]}'
 HYP_SPACE = '{"factors":[{"kind":"hyperbolic"}]}'
@@ -166,3 +167,26 @@ def test_diverge_passes_tol_to_both_axes(monkeypatch, capsys):
     assert main(args + ["--tol", "1e-3"]) == 0
     assert main(args) == 0
     assert seen == [1e-3, 1e-3, 1e-10, 1e-10]
+
+
+@pytest.mark.parametrize("error", [BasinError, FlowBudgetError])
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_axis_and_diverge_flow_errors_are_inconclusive(monkeypatch, capsys, error, failing_call):
+    calls = []
+
+    def failing_axis(iso, seed_path, tol=None):
+        calls.append(tol)
+        if len(calls) == failing_call:
+            raise error("flow gave up")
+
+    monkeypatch.setattr(cli_mod, "compute_axis", failing_axis)
+    base = ["--base", '{"blocks":[{"coords":[0.05,1.0]}]}']
+    diverge = ["diverge", "--space", HYP_SPACE, "--iso", Z4, "--iso2", Z4, "--rgrid", "2,3"]
+    assert main(diverge + base) == 2
+    assert calls == [1e-10] * failing_call
+    if failing_call == 1:
+        calls.clear()
+        assert main(["axis", "--space", HYP_SPACE, "--iso", Z4] + base) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flow gave up" in captured.err

@@ -23,6 +23,7 @@ from hornlab.geometry import (
     make_point,
     metric_batch,
     midpoint,
+    point_along,
     shooting_connect,
     tangent_from_chart,
 )
@@ -137,11 +138,22 @@ def test_coupled_distance_needs_no_sampled_segment(monkeypatch):
     monkeypatch.setattr(connect_mod, "geodesic_shoot", no_shoot)
     assert distance(COUPLED, p, q) == d
     monkeypatch.undo()
-    # the segment is still built for points along the geodesic; they
-    # interpolate the integrator's states linearly, hence the looser bound
+    # points along the geodesic are shot again from its start
     m = midpoint(COUPLED, p, q)
-    assert distance(COUPLED, p, m) == pytest.approx(0.5 * d, rel=1e-5)
+    assert distance(COUPLED, p, m) == pytest.approx(0.5 * d, rel=1e-9)
     seg = geodesic_connect(COUPLED, p, q, samples=5)
     assert seg.length == d
     assert chart_vector(COUPLED, seg.point_at(0.5)) == pytest.approx(
         chart_vector(COUPLED, m), abs=1e-14)
+
+
+@pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+def test_coupled_points_along_split_the_distance(frac):
+    # both orientations: the solver shoots from the lesser endpoint
+    p = make_point(COUPLED, [(0.0, 0.8), (0.0,)])
+    q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
+    d = distance(COUPLED, p, q)
+    for a, b in ((p, q), (q, p)):
+        r = point_along(COUPLED, a, b, frac)
+        assert distance(COUPLED, a, r) == pytest.approx(frac * d, rel=1e-9)
+        assert distance(COUPLED, r, b) == pytest.approx((1 - frac) * d, rel=1e-9)

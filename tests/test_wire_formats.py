@@ -92,7 +92,7 @@ def test_geodesic_segment_csv_golden(tmp_path, capsys):
         + "0.5,0.25,0.25,0,0.09090909090909105,1.3950917502929823,"
           "0.05050000000000001,-0.25,-0.125,0.6387200196512403,0\n"
         + "0.75,0.25,0.125,0,0.35696733868083963,1.0413327191462114,"
-          "0.02575000000000001,1.125,-0.125,0.9519404934131337,0\n"
+          "0.02575000000000001,1.125,-0.125,0.9519404934131335,0\n"
         + "1.0,,,1,0.5,0.75,0.001,2.5,-0.125,1.25,0\n"
     )
     doc = json.loads((tmp_path / "geodesic.json").read_text())
