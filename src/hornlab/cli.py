@@ -37,7 +37,6 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     run_experiment,
-    _write_csv,
 )
 from .geometry import (
     SpaceSpec,
@@ -51,6 +50,7 @@ from .geometry import (
     tangent_from_chart,
 )
 from .paths import (
+    csv_text,
     equivariant_seed,
     flow_report_json,
     heat_flow,
@@ -183,8 +183,8 @@ def cmd_diverge(args) -> int:
     prof = divergence_profile(ax1, ax2, r_grid)
     out = _out_dir(args)
     if out is not None:
-        _write_csv(out / "divergence.csv", ["R", "m"],
-                   list(zip(prof.R_grid, prof.m_values)))
+        (out / "divergence.csv").write_text(
+            csv_text(["R", "m"], zip(prof.R_grid, prof.m_values)))
     _emit({"R": prof.R_grid, "m": prof.m_values,
            "strictly_increasing_from": prof.strictly_increasing_from}, out,
           "divergence.json")
@@ -198,9 +198,9 @@ def cmd_proper(args) -> int:
     rep = properness_probe(isos, m_grid, args.budget, seed=args.seed)
     out = _out_dir(args)
     if out is not None:
-        _write_csv(out / "properness.csv", ["M", "radius", "unbounded", "samples"],
-                   [(e.M, e.radius, int(e.unbounded_evidence), e.samples)
-                    for e in rep.entries])
+        (out / "properness.csv").write_text(csv_text(
+            ["M", "radius", "unbounded", "samples"],
+            [(e.M, e.radius, int(e.unbounded_evidence), e.samples) for e in rep.entries]))
     _emit({"entries": [{"M": e.M, "radius": e.radius,
                         "unbounded": e.unbounded_evidence, "samples": e.samples}
                        for e in rep.entries]}, out, "properness.json")
@@ -243,7 +243,7 @@ def cmd_masur(args) -> int:
         header = ["t"] + list(columns)
         rows = [tuple([float(t)] + [columns[k][i] for k in columns])
                 for i, t in enumerate(ts)]
-        _write_csv(out / "pairings.csv", header, rows)
+        (out / "pairings.csv").write_text(csv_text(header, rows))
     _emit({"fits": fits}, out, "scaling.json")
     return PASS
 
@@ -254,9 +254,9 @@ def cmd_expansion(args) -> int:
                              n_r=args.n_r, n_phi=args.n_phi)
     out = _out_dir(args)
     if out is not None:
-        _write_csv(out / "expansion.csv",
-                   ["t", "xi", "ratio_xixi", "ratio_thth"],
-                   list(zip(rep.t_grid, rep.xi, rep.ratio_xixi, rep.ratio_thth)))
+        (out / "expansion.csv").write_text(csv_text(
+            ["t", "xi", "ratio_xixi", "ratio_thth"],
+            zip(rep.t_grid, rep.xi, rep.ratio_xixi, rep.ratio_thth)))
     _emit({"xi": rep.xi, "ratio_xixi": rep.ratio_xixi,
            "ratio_thth": rep.ratio_thth, "rate_xixi": rep.rate_xixi,
            "rate_thth": rep.rate_thth}, out, "expansion.json")

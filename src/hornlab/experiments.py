@@ -54,7 +54,7 @@ from .geometry import (
     make_point,
     space_to_json,
 )
-from .paths import equivariant_seed, point_cells
+from .paths import csv_text, equivariant_seed, point_cells
 
 EXPERIMENT_NAMES = ("interior", "corners", "table1", "diverge", "proper", "masur", "expansion")
 
@@ -128,13 +128,6 @@ def config_hash(config: ExperimentConfig) -> str:
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def write_report(report: ExperimentReport, out_dir) -> Path:
@@ -248,9 +241,9 @@ def run_interior(config: ExperimentConfig) -> ExperimentReport:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         rows = [(x, *point_cells(prod, pt)) for x, pt in seg2.samples]
-        _write_csv(out / "interior_samples.csv",
-                   ["x", "theta", "xi", "boundary", "e0"], rows)
-        _write_csv(out / "interior_margins.csv", ["e_clamp", "margin"], margins)
+        (out / "interior_samples.csv").write_text(
+            csv_text(["x", "theta", "xi", "boundary", "e0"], rows))
+        (out / "interior_margins.csv").write_text(csv_text(["e_clamp", "margin"], margins))
         artifacts += ["interior_samples.csv", "interior_margins.csv"]
     return ExperimentReport("interior", config_hash(config), config.seed, checks, artifacts)
 
@@ -302,9 +295,8 @@ def run_corners(config: ExperimentConfig) -> ExperimentReport:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         rows = [(x, *point_cells(space, pt)) for x, pt in seg.samples]
-        _write_csv(out / "corners_samples.csv",
-                   ["x", "theta0", "xi0", "boundary0", "theta1", "xi1", "boundary1"],
-                   rows)
+        (out / "corners_samples.csv").write_text(csv_text(
+            ["x", "theta0", "xi0", "boundary0", "theta1", "xi1", "boundary1"], rows))
         artifacts.append("corners_samples.csv")
     return ExperimentReport("corners", config_hash(config), config.seed, checks, artifacts)
 
@@ -416,8 +408,8 @@ def run_diverge(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "divergence_profile.csv", ["R", "m"],
-                   list(zip(prof.R_grid, prof.m_values)))
+        (out / "divergence_profile.csv").write_text(
+            csv_text(["R", "m"], zip(prof.R_grid, prof.m_values)))
         artifacts.append("divergence_profile.csv")
     return ExperimentReport("diverge", config_hash(config), config.seed, checks, artifacts)
 
@@ -447,10 +439,10 @@ def run_proper(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "properness.csv",
-                   ["M", "radius", "unbounded", "samples"],
-                   [(e.M, e.radius, int(e.unbounded_evidence), e.samples)
-                    for e in rep.entries + rep_tr.entries])
+        (out / "properness.csv").write_text(csv_text(
+            ["M", "radius", "unbounded", "samples"],
+            [(e.M, e.radius, int(e.unbounded_evidence), e.samples)
+             for e in rep.entries + rep_tr.entries]))
         artifacts.append("properness.csv")
     return ExperimentReport("proper", config_hash(config), config.seed, checks, artifacts)
 
@@ -514,10 +506,10 @@ def run_masur(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "pairings.csv",
-                   ["t", "pairing_normal_normal", "pairing_normal_tangential",
-                    "pairing_normal_regular"],
-                   list(zip(map(float, ts), nn, nt, nr)))
+        (out / "pairings.csv").write_text(csv_text(
+            ["t", "pairing_normal_normal", "pairing_normal_tangential",
+             "pairing_normal_regular"],
+            zip(map(float, ts), nn, nt, nr)))
         (out / "scaling_fits.json").write_text(json.dumps(
             {"normal_normal": fit_nn.to_json(), "normal_regular": fit_nt.to_json()},
             sort_keys=True, indent=2) + "\n")
@@ -551,10 +543,10 @@ def run_expansion(config: ExperimentConfig) -> ExperimentReport:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "expansion.csv",
-                   ["t", "xi", "coeff_xixi", "ratio_xixi", "coeff_thth_over_xi6", "ratio_thth"],
-                   list(zip(rep.t_grid, rep.xi, rep.coeff_xixi, rep.ratio_xixi,
-                            rep.coeff_thth_over_xi6, rep.ratio_thth)))
+        (out / "expansion.csv").write_text(csv_text(
+            ["t", "xi", "coeff_xixi", "ratio_xixi", "coeff_thth_over_xi6", "ratio_thth"],
+            zip(rep.t_grid, rep.xi, rep.coeff_xixi, rep.ratio_xixi,
+                rep.coeff_thth_over_xi6, rep.ratio_thth)))
         (out / "expansion_rates.json").write_text(json.dumps(
             {"rate_xixi": rep.rate_xixi, "rate_thth": rep.rate_thth,
              "target_xixi": rep.target_xixi, "target_thth": rep.target_thth},

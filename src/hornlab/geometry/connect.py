@@ -63,9 +63,8 @@ from .spaces import (
     point_from_chart,
     point_key,
     points_equal,
-    tangent_from_chart,
 )
-from .shoot import GeodesicSegment, geodesic_shoot, shoot_rows
+from .shoot import GeodesicSegment, shoot_rows
 from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,7 @@ class _HypPath(_FactorPath):
         zeta = complex(u, v)
         k = (self.ch * zeta - self.sh) / (self.sh * zeta + self.ch)
         self.sgn = 1.0 if k.imag > 1.0 else -1.0
-        du = ((x2 - x1) ** 2 + (y2 - y1) ** 2) / (2.0 * y1 * y2)
-        self.length = math.log1p(du + math.sqrt(du * (du + 2.0)))
+        self.length = _hyp_distance(z1, z2)
 
     def point(self, s):
         g = complex(0.0, math.exp(self.sgn * s))
@@ -892,16 +890,6 @@ class _GroupPath:
             self._poly = curve_shortening_connect(sub_space, p, q)
             self.length = self._poly.length + extra
 
-    @cached_property
-    def _seg(self) -> GeodesicSegment | None:
-        """The sampled shot geodesic, built on first use for velocities:
-        ``distance`` needs only the length, and points are shot again."""
-        if self._v is None:
-            return None
-        return geodesic_shoot(self.sub_space, self._start,
-                              tangent_from_chart(self.sub_space, self._v),
-                              self._shot_length, atol=1e-12)
-
     @staticmethod
     def _pull_off_boundary(sub_space, blocks, other_blocks):
         """Swap boundary blocks for snap-level approach points; the exact
@@ -917,32 +905,30 @@ class _GroupPath:
                 extra += H(XI_SNAP)
         return out, extra
 
-    def blocks_at(self, s):
-        """Blocks at parameter s; a shot geodesic is shot again, from its
-        start at its unit initial velocity, for the arclength asked for."""
+    def _state_at(self, s):
+        """Chart state ``(x, v)`` at parameter s, v the unit velocity in the
+        direction of travel: a shot geodesic is shot again, from its start at
+        its unit initial velocity, for the arclength asked for.  On the
+        curve-shortening polyline v is None."""
         frac = 0.0 if self.length == 0 else min(max(s / self.length, 0.0), 1.0)
         if self._flip:
             frac = 1.0 - frac
-        if self._v is not None:
-            x0 = chart_vector(self.sub_space, self._start)
-            run = shoot_rows(self.sub_space, x0, (self._v / self._shot_length)[None, :],
-                             frac * self._shot_length, atol=1e-12)
-            x = run.end[0, :self.sub_space.dim]
-        else:
-            x = self._poly.chart_at_fraction(frac)
-        return list(point_from_chart(self.sub_space, x).blocks)
+        if self._v is None:
+            return self._poly.chart_at_fraction(frac), None
+        x0 = chart_vector(self.sub_space, self._start)
+        run = shoot_rows(self.sub_space, x0, (self._v / self._shot_length)[None, :],
+                         frac * self._shot_length, atol=1e-12)
+        n = self.sub_space.dim
+        x, v = run.end[0, :n], run.end[0, n:]
+        return x, -v if self._flip else v
+
+    def blocks_at(self, s):
+        return list(point_from_chart(self.sub_space, self._state_at(s)[0]).blocks)
 
     def velocity_blocks_at(self, s):
-        if self._seg is None or self._seg.chart_velocity is None:
+        v = self._state_at(s)[1]
+        if v is None:
             return [None for _ in self.sub_space.factors]
-        frac = 0.0 if self.length == 0 else min(max(s / self.length, 0.0), 1.0)
-        if self._flip:
-            frac = 1.0 - frac
-        i = int(np.searchsorted(self._seg.params, frac))
-        i = min(max(i, 0), len(self._seg.params) - 1)
-        v = self._seg.chart_velocity[i]
-        if self._flip:
-            v = -v
         return [tuple(v[sl]) for sl in self.sub_space.chart_slices()]
 
 

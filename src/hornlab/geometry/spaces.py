@@ -110,19 +110,6 @@ class WarpProfile:
         base = dx * p6
         return self.B * base * (1.0 + self.c6 * (xi**6 + xi0**6))
 
-    def f_inv(self, value):
-        """Inverse of f on xi >= 0 (monotone)."""
-        if value <= 0.0:
-            return 0.0
-        xi = (value / self.B) ** (1.0 / 6.0)
-        if self.c6:
-            for _ in range(60):  # Newton; f is smooth and convex here
-                r = self.f(xi) - value
-                if abs(r) <= 1e-16 * value:
-                    break
-                xi -= r / self.fp(xi)
-        return xi
-
     def curvature(self, xi):
         f, fp, fpp = self.f(xi), self.fp(xi), self.fpp(xi)
         h, hp = self.h(xi), self.hp(xi)

@@ -9,9 +9,8 @@ replaced by the geodesic midpoint of its two neighbors, all reads coming
 from the previous iterate.  Fixed points are discrete geodesics, energy
 never increases, and sweeps are order-independent so node updates can be
 evaluated in any order or in parallel.  This plain flow is the reference
-(``relax``, the Hartman check of ``actions.axis``); ``refine_flow``, and so
-``actions.axis``, runs the same sweep loop with an energy-safeguarded
-Anderson extrapolation of the sweep map.
+(``relax``); ``refine_flow``, and so ``actions.axis``, runs the same sweep
+loop with an energy-safeguarded Anderson extrapolation of the sweep map.
 """
 
 from __future__ import annotations
@@ -362,13 +361,20 @@ def point_cells(space: SpaceSpec, point: CompletionPoint) -> list[str]:
     return [c for f, blk in zip(space.factors, point.blocks) for c in f.csv_cells(blk)]
 
 
-def samples_to_csv(space: SpaceSpec, samples) -> str:
-    """CSV text of ``(x, point)`` samples: one header row, then one row each."""
+def csv_text(header: list[str], rows) -> str:
+    """CSV text of one header row, then one line per row; floats are
+    written by ``repr``.  Every CSV artifact is written by this function."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(space))
-    writer.writerows([repr(float(x))] + point_cells(space, pt) for x, pt in samples)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def samples_to_csv(space: SpaceSpec, samples) -> str:
+    """CSV text of ``(x, point)`` samples: one header row, then one row each."""
+    return csv_text(_csv_header(space),
+                    ([repr(float(x))] + point_cells(space, pt) for x, pt in samples))
 
 
 def path_to_csv(path: DiscretePath) -> str:

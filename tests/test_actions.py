@@ -38,7 +38,7 @@ from hornlab.geometry import (
     metric_tensor,
     points_equal,
 )
-from hornlab.paths import DiscretePath, equivariant_seed
+from hornlab.paths import DiscretePath, equivariant_seed, heat_flow
 
 HORN = SpaceSpec((Horn(),))
 HYP = SpaceSpec((HyperbolicPlane(),))
@@ -122,13 +122,32 @@ def test_mobius_group_laws(vals):
 def test_metric_preservation_validation():
     from hornlab.geometry import PerturbedHorn
 
-    # rotating the Euclidean block breaks the b3 cross term
+    # the b3 cross term ties the horn to the first Euclidean coordinate:
+    # rotating it, reflecting it or tilting it by any angle breaks the term
     space = SpaceSpec((PerturbedHorn(B=1.0, b3=0.4), Euclidean(2)))
-    rot = EuclideanAction([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        Isometry(space, (HornAction(a=1.0), rot))
-    # translations leave the cross term alone
+    tilts = [[[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]] for a in (1e-8, 1e-10)]
+    for Q in [[[0.0, -1.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 1.0]], *tilts]:
+        with pytest.raises(ValueError):
+            Isometry(space, (HornAction(a=1.0), EuclideanAction(Q, [0.0, 0.0])))
+    # translations, a reflection of the second coordinate and a horn
+    # reflection leave the cross term alone
     Isometry(space, (HornAction(a=1.0), EuclideanAction(np.eye(2), [1.0, 2.0])))
+    Isometry(space, (HornAction(a=0.3, reflect=True),
+                     EuclideanAction(np.diag([1.0, -1.0]), [0.5, 0.0])))
+    # so does a rotation of a second Euclidean factor, but not a swap of
+    # the first Euclidean factor with another
+    two = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), Euclidean(1), Euclidean(1)))
+    flat = EuclideanAction([[1.0]], [0.0])
+    with pytest.raises(ValueError):
+        Isometry(two, (HornAction(), flat, flat), (0, 2, 1))
+    wide = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), Euclidean(1), Euclidean(2)))
+    Isometry(wide, (HornAction(), flat, EuclideanAction([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0])))
+    # swapping two equal coupled horns; the rule survives inverse and powers
+    pair = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), PerturbedHorn(B=1.0, b3=0.2),
+                      Euclidean(2)))
+    g = Isometry(pair, (HornAction(a=0.3, reflect=True), HornAction(a=1.0),
+                        EuclideanAction(np.diag([1.0, -1.0]), [0.5, 1.0])), (1, 0, 2))
+    assert g.power(5).permutation == g.inverse().permutation == (1, 0, 2)
 
 
 def test_pullback_metric_invariance_fd():
@@ -302,14 +321,20 @@ def test_axis_out_of_budget_raises():
 
 
 def test_axis_hartman_monotonicity():
-    def dist_to_axis(pt):
-        x, y = pt.blocks[0]
-        return math.asinh(abs(x) / y)
+    # along the plain flow the sup over the nodes of the distance to the
+    # axis of z4 (the imaginary axis) never increases
+    sups = []
+
+    def watch(nodes):
+        sups.append(max(math.asinh(abs(x) / y) for x, y in (p.blocks[0] for p in nodes)))
 
     psi = 2 * math.atan(math.exp(-0.5))
     w = make_point(HYP, [(math.cos(psi), math.sin(psi))])
-    ax = axis(z4(), equivariant_seed(HYP, z4(), w, 16), reference_distance=dist_to_axis)
-    assert ax.hartman_ok is True
+    _, report = heat_flow(equivariant_seed(HYP, z4(), w, 16), max_iter=200_000, tol=1e-10,
+                          on_iterate=watch)
+    assert report.converged
+    assert len(sups) > 1
+    assert all(b <= a + 1e-10 for a, b in zip(sups[:-1], sups[1:]))
 
 
 def test_product_axis_length():

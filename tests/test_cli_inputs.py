@@ -116,3 +116,12 @@ def test_indefinite_coupled_csv_nodes_are_rejected(tmp_path):
     assert main(argv) == 3
     path.write_text("\n".join(rows).format(xi=0.6) + "\n")
     assert main(argv) in (0, 2)
+
+
+def test_isometry_breaking_the_coupling_exits_usage(capsys):
+    # reflecting the first Euclidean coordinate flips the b3 cross term
+    iso = json.dumps({"factor_actions": [{"kind": "horn_translate", "a": 1.0},
+                                         {"kind": "euclid", "Q": [[-1.0]], "t": [0.0]}]})
+    with pytest.raises(ValueError, match="b3 cross term"):
+        isometry_from_json(COUPLED, iso)
+    assert main(["classify", "--space", COUPLED_DOC, "--iso", iso]) == 3

@@ -130,13 +130,20 @@ def test_underflow_pair_base_row_still_raises():
 def test_coupled_distance_needs_no_sampled_segment(monkeypatch):
     p = make_point(COUPLED, [(0.0, 0.8), (0.0,)])
     q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
+    calls = []
+    real_shoot_rows = connect_mod.shoot_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_shoot_rows(*args, **kwargs)
+
+    # distance shoots exactly what its shooting solve shoots, nothing more
+    monkeypatch.setattr(connect_mod, "shoot_rows", counting)
     d = distance(COUPLED, p, q)
-
-    def no_shoot(*args, **kwargs):
-        raise AssertionError("distance built a sampled segment")
-
-    monkeypatch.setattr(connect_mod, "geodesic_shoot", no_shoot)
-    assert distance(COUPLED, p, q) == d
+    in_distance = len(calls)
+    calls.clear()
+    shooting_connect(COUPLED, *sorted((p, q), key=point_key))
+    assert in_distance == len(calls) > 0
     monkeypatch.undo()
     # points along the geodesic are shot again from its start
     m = midpoint(COUPLED, p, q)
