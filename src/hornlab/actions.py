@@ -887,11 +887,12 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
 
     ts = np.linspace(0.0, L1, 17)
     ss = np.linspace(-2.0 * L2, 2.0 * L2, 65)
+    q2 = [axis2.point_at(float(s)) for s in ss]
     best = (math.inf, 0.0, 0.0)
     for t in ts:
         p1 = axis1.point_at(float(t))
-        for s in ss:
-            d = distance(space, p1, axis2.point_at(float(s)))
+        for s, q in zip(ss, q2):
+            d = distance(space, p1, q)
             if d < best[0]:
                 best = (d, float(t), float(s))
     res = minimize(
@@ -908,10 +909,14 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
     m_values = []
     for R in R_grid:
         best_m = math.inf
-        for sgn_t in (1.0, -1.0):
-            for sgn_s in (1.0, -1.0):
-                a_grid = np.linspace(0.0, R, grid_points)
-                vals = [gap(sgn_t * (R - a), sgn_s * a) for a in a_grid]
+        a_grid = np.linspace(0.0, R, grid_points)
+        # each axis point of the scan once: four sign pairs share them
+        signs = (1.0, -1.0)
+        on1 = {sg: [axis1.point_at(t_c + sg * (R - a)) for a in a_grid] for sg in signs}
+        on2 = {sg: [axis2.point_at(s_c + sg * a) for a in a_grid] for sg in signs}
+        for sgn_t in signs:
+            for sgn_s in signs:
+                vals = [distance(space, p, q) for p, q in zip(on1[sgn_t], on2[sgn_s])]
                 i = int(np.argmin(vals))
                 lo = a_grid[max(i - 1, 0)]
                 hi = a_grid[min(i + 1, grid_points - 1)]

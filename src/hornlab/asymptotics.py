@@ -8,8 +8,10 @@ density blends the two across a collar band.  Quadratic differentials
 near the node are represented by envelope models saturating the standard
 pole bounds (t/z^2 normal to the stratum, 1/z tangential, 1/z + t/z^3
 for the deformed tangential family, 1 regular), and their pairings
-against the cusp density integrate in log-polar coordinates to sharp
-closed forms:
+against the cusp density integrate in u = log|z| to sharp closed forms.
+The normal, tangential and regular envelopes depend on |z| alone, so a
+pairing among them is one radial quadrature; only a pairing with the
+deformed tangential family averages over angle on a log-polar grid:
 
     <normal, normal>     = (2 pi / 3) |t|^2 (-log|t|)^3 + ...
     <normal, tangential> = O(|t|)
@@ -61,7 +63,8 @@ class DifferentialModel(enum.Enum):
     REGULAR = "regular"                        # 1
 
     def envelope(self, z: np.ndarray, t: complex) -> np.ndarray:
-        """|phi(z, t)| on an array of complex points."""
+        """|phi(z, t)| on an array of complex points.  Every model but
+        ``TANGENTIAL_DEFORMED`` depends on |z| alone and takes radii too."""
         if self is DifferentialModel.NORMAL:
             return abs(t) / np.abs(z) ** 2
         if self is DifferentialModel.TANGENTIAL:
@@ -165,20 +168,29 @@ def _radial_panels(u0: float, u1: float) -> list[float]:
 
 def _pairing_on_grid(i: DifferentialModel, j: DifferentialModel, spec: AnnulusSpec,
                      n_r: int) -> float:
-    """Composite Simpson in u = log r times trapezoid in angle of
-    ``|phi_i| |phi_j| / rho0`` over the annulus."""
+    """Composite Simpson in u = log r of the angle average of
+    ``|phi_i| |phi_j| / rho0`` over the annulus.
+
+    Without a ``tangential_deformed`` model the product depends on |z|
+    alone and is evaluated once per radius; a ``tangential_deformed``
+    pairing averages it by the trapezoid rule over ``spec.n_phi`` angles."""
     t = spec.t
     u0, u1 = math.log(abs(t)), math.log(spec.c)
     if n_r % 2 == 1:
         n_r += 1
+    radial = DifferentialModel.TANGENTIAL_DEFORMED not in (i, j)
     phi = 2.0 * math.pi * np.arange(spec.n_phi) / spec.n_phi
     total = 0.0
     for a, b in zip(*(lambda e: (e[:-1], e[1:]))(_radial_panels(u0, u1))):
         u = np.linspace(a, b, n_r + 1)
-        z = np.exp(u[:, None] + 1j * phi[None, :])
-        vals = i.envelope(z, t) * j.envelope(z, t)
+        if radial:
+            r = np.exp(u)
+            vals = i.envelope(r, t) * j.envelope(r, t)
+        else:
+            z = np.exp(u[:, None] + 1j * phi[None, :])
+            vals = (i.envelope(z, t) * j.envelope(z, t)).mean(axis=1)
         # 1/rho0 * area element = e^{4u} u^2 du dphi
-        integrand = vals.mean(axis=1) * np.exp(4.0 * u) * u * u
+        integrand = vals * np.exp(4.0 * u) * u * u
         hstep = (b - a) / n_r
         simpson = integrand[0] + integrand[-1] + 4.0 * integrand[1:-1:2].sum() \
             + 2.0 * integrand[2:-1:2].sum()
@@ -319,6 +331,12 @@ class SubstitutionReport:
     ratio_thth: list[float]
     rate_xixi: float | None
     rate_thth: float | None
+
+    def csv_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and rows of ``expansion.csv``, one row per t."""
+        return (["t", "xi", "coeff_xixi", "ratio_xixi", "coeff_thth_over_xi6", "ratio_thth"],
+                list(zip(self.t_grid, self.xi, self.coeff_xixi, self.ratio_xixi,
+                         self.coeff_thth_over_xi6, self.ratio_thth)))
 
 
 def substitution_check(t_grid, G_values=None, C: float | None = None,

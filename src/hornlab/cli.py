@@ -254,9 +254,7 @@ def cmd_expansion(args) -> int:
                              n_r=args.n_r, n_phi=args.n_phi)
     out = _out_dir(args)
     if out is not None:
-        (out / "expansion.csv").write_text(csv_text(
-            ["t", "xi", "ratio_xixi", "ratio_thth"],
-            zip(rep.t_grid, rep.xi, rep.ratio_xixi, rep.ratio_thth)))
+        (out / "expansion.csv").write_text(csv_text(*rep.csv_table()))
     _emit({"xi": rep.xi, "ratio_xixi": rep.ratio_xixi,
            "ratio_thth": rep.ratio_thth, "rate_xixi": rep.rate_xixi,
            "rate_thth": rep.rate_thth}, out, "expansion.json")
@@ -360,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=13)
     p.add_argument("--pairs", default="normal,normal;normal,tangential")
     p.add_argument("--n-r", type=int, default=256)
-    p.add_argument("--n-phi", type=int, default=64)
+    p.add_argument("--n-phi", type=int, default=64,
+                   help="angles averaged per radius in tangential_deformed pairings")
     p.set_defaults(fn=cmd_masur)
 
     p = sub.add_parser("expansion", help="horn-coefficient substitution check")
@@ -368,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svalues", default="25,30,36,43,52,64",
                    help="comma list of s = -log t")
     p.add_argument("--n-r", type=int, default=256)
-    p.add_argument("--n-phi", type=int, default=64)
+    p.add_argument("--n-phi", type=int, default=64,
+                   help="angles averaged per radius in tangential_deformed pairings")
     p.set_defaults(fn=cmd_expansion)
 
     p = sub.add_parser("experiment", help="run a named experiment")

@@ -20,7 +20,7 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,15 @@ class FlowReport:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class RefineReport(FlowReport):
+    """:func:`refine_flow`'s report: ``iterations``, ``accelerated`` and
+    ``fallbacks`` summed over its stages, ``stage_sweeps`` the sweeps of
+    each stage, and every other field the last stage's."""
+
+    stage_sweeps: list[int] = field(default_factory=list)
 
 
 def _segments(space: SpaceSpec, pairs) -> tuple[list[float], float]:
@@ -315,24 +324,31 @@ def equivariant_seed(space: SpaceSpec, iso, base: CompletionPoint, n: int) -> Di
 
 
 def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6
-                ) -> tuple[DiscretePath, FlowReport]:
+                ) -> tuple[DiscretePath, RefineReport]:
     """Accelerated flow, then double the node count until the length settles.
 
     Starts from the given path (N typically 16) and stops when one
-    doubling changes the converged length by less than ``REFINE_LENGTH_TOL``.
-    Every stage is one accelerated :func:`heat_flow`, whose limit may sit
-    elsewhere along the axis than the plain flow's (every slide is a fixed point).
+    doubling changes the converged length by less than ``REFINE_LENGTH_TOL``,
+    or at the first stage that does not converge (``max_iter`` is a
+    per-stage budget).  Every stage is one accelerated :func:`heat_flow`,
+    whose limit may sit elsewhere along the axis than the plain flow's
+    (every slide is a fixed point).
     """
     flowed, report = heat_flow(path, max_iter=max_iter, tol=tol, accelerate=True)
+    stages = [report]
     for _ in range(REFINE_DOUBLINGS):
-        if report.escaped:
+        if not report.converged:
             break
         prev_len = report.final_length
         flowed = _double_nodes(flowed)
         flowed, report = heat_flow(flowed, max_iter=max_iter, tol=tol, accelerate=True)
+        stages.append(report)
         if abs(report.final_length - prev_len) < REFINE_LENGTH_TOL:
             break
-    return flowed, report
+    summed = {k: sum(getattr(r, k) for r in stages)
+              for k in ("iterations", "accelerated", "fallbacks")}
+    return flowed, RefineReport(**{**vars(report), **summed},
+                                stage_sweeps=[r.iterations for r in stages])
 
 
 def _double_nodes(path: DiscretePath) -> DiscretePath:

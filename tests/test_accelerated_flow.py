@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from hornlab.actions import HornAction, Isometry, axis
+import hornlab.paths as paths_mod
+from hornlab.actions import REDUCIBLE, HornAction, Isometry, axis
 from hornlab.errors import BasinError
-from hornlab.experiments import independent_pair
+from hornlab.experiments import canonical_isometries, independent_pair
 from hornlab.geometry import XI_SNAP, Euclidean, Horn, SpaceSpec, distance, make_point
 from hornlab.geometry.spaces import point_from_search, search_vector
-from hornlab.paths import DiscretePath, equivariant_seed, heat_flow
+from hornlab.paths import DiscretePath, equivariant_seed, heat_flow, refine_flow
 
 HORN = SpaceSpec((Horn(),))
 
@@ -109,3 +110,30 @@ def test_search_chart_round_trip_and_clamps():
     low = point_from_search(space, [0.0, -1e3, 0.0, -1e3, 0.0])
     assert low.blocks[0].xi == XI_SNAP  # clamped at the snap level, not snapped
     assert low.blocks[1][1] == math.exp(-80.0)
+
+
+def test_refine_flow_reports_every_stage(monkeypatch):
+    # the reducible representative's N=16 stage takes about a hundred
+    # sweeps and the doubled stage one: the report counts them all
+    iso = canonical_isometries()[REDUCIBLE]
+    seed = equivariant_seed(iso.space, iso, make_point(iso.space, [(0.0, 0.5), (0.0,)]), 16)
+    stages = []
+
+    def recorded(*args, **kwargs):
+        out = heat_flow(*args, **kwargs)
+        stages.append(out[1])
+        return out
+
+    monkeypatch.setattr(paths_mod, "heat_flow", recorded)
+    _, rep = refine_flow(seed, tol=1e-10, max_iter=200_000)
+    assert len(stages) >= 2
+    assert rep.stage_sweeps == [r.iterations for r in stages]
+    assert rep.stage_sweeps[0] > 50
+    assert rep.iterations == sum(rep.stage_sweeps)
+    assert rep.accelerated == sum(r.accelerated for r in stages) > 0
+    assert rep.fallbacks == sum(r.fallbacks for r in stages)
+    last = stages[-1]
+    assert rep.converged == last.converged and rep.escaped == last.escaped
+    assert rep.final_length == last.final_length and rep.final_energy == last.final_energy
+    assert rep.max_displacement == last.max_displacement
+    assert rep.converged and rep.final_length == pytest.approx(2.0, abs=1e-9)

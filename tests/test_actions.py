@@ -402,13 +402,24 @@ def test_divergence_euclidean_lines():
     assert max(ratios) - min(ratios) <= 0.05  # linear growth
 
 
-def test_divergence_independent_pair():
+def test_divergence_independent_pair(monkeypatch):
     base = make_point(HYP, [(0.05, 1.0)])
     ax1 = axis(z4(), equivariant_seed(HYP, z4(), base, 16))
     ax2 = axis(golden(), equivariant_seed(HYP, golden(), base, 16))
+    calls = [0]
+    point_at = Axis.point_at
+
+    def counted(self, t):
+        calls[0] += 1
+        return point_at(self, t)
+
+    monkeypatch.setattr(Axis, "point_at", counted)
     prof = divergence_profile(ax1, ax2, list(range(2, 11)))
     assert all(b > a for a, b in zip(prof.m_values[:-1], prof.m_values[1:]))
     assert prof.m_values[-1] > prof.m_values[0] + 1.0
+    # the scans evaluate each axis point once (3,722 calls here); a scan
+    # that re-evaluates them per partner point makes 7,102
+    assert calls[0] <= 4000
 
 
 # ---------------------------------------------------------------------------

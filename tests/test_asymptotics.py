@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hornlab.asymptotics as asymptotics_mod
 from hornlab.asymptotics import (
     AnnulusSpec,
     DifferentialModel,
@@ -37,7 +38,7 @@ def pairing_nt(t):
 
 def pairing_nr(t):
     prim = lambda r: r * r / 2.0 * (math.log(r) ** 2 - math.log(r) + 0.5)
-    return 2.0 * math.pi * t * (prim(1.0) - prim(t)) / t  # = 2 pi t * integral r log^2 r
+    return 2.0 * math.pi * t * (prim(1.0) - prim(t))  # = 2 pi t * integral r log^2 r
 
 
 def test_annulus_density_core_circle():
@@ -93,9 +94,49 @@ def test_pairing_closed_forms():
     for t in (1e-3, 1e-5, 1e-7):
         assert cometric_pairing(N, N, t) == pytest.approx(pairing_nn(t), rel=1e-9)
         assert cometric_pairing(N, T, t) == pytest.approx(pairing_nt(t), rel=1e-9)
+        assert cometric_pairing(N, R, t) == pytest.approx(pairing_nr(t), rel=1e-9)
+        # 1/|z|^2 against rho0 is the normal x regular integrand over |t|
+        assert cometric_pairing(T, T, t) == pytest.approx(pairing_nr(t) / t, rel=1e-9)
     # frozen sample values
     assert cometric_pairing(N, N, 1e-3) == pytest.approx(6.9033e-4, rel=1e-3)
     assert cometric_pairing(N, T, 1e-3) == pytest.approx(1.2167e-2, rel=1e-3)
+
+
+def _log_polar_pairing(i, j, spec, n_r):
+    """The log-polar grid for every pair: composite Simpson in u = log r
+    times the trapezoid rule over ``spec.n_phi`` angles."""
+    t = spec.t
+    u0, u1 = math.log(abs(t)), math.log(spec.c)
+    if n_r % 2 == 1:
+        n_r += 1
+    phi = 2.0 * math.pi * np.arange(spec.n_phi) / spec.n_phi
+    edges = asymptotics_mod._radial_panels(u0, u1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        u = np.linspace(a, b, n_r + 1)
+        z = np.exp(u[:, None] + 1j * phi[None, :])
+        vals = i.envelope(z, t) * j.envelope(z, t)
+        integrand = vals.mean(axis=1) * np.exp(4.0 * u) * u * u
+        hstep = (b - a) / n_r
+        simpson = integrand[0] + integrand[-1] + 4.0 * integrand[1:-1:2].sum() \
+            + 2.0 * integrand[2:-1:2].sum()
+        total += float(simpson * hstep / 3.0)
+    return 2.0 * math.pi * total
+
+
+def test_pairing_matches_log_polar_grid(monkeypatch):
+    # radial pairs average no angle: they match the 2-D grid to rounding;
+    # tangential_deformed pairs still run on that grid, bit for bit
+    ts = (1e-3, 1e-3 * cmath.exp(0.7j), 1e-8)
+    models = (N, T, TD, R)
+    fast = {(t, i, j): cometric_pairing(i, j, t) for t in ts for i in models for j in models}
+    monkeypatch.setattr(asymptotics_mod, "_pairing_on_grid", _log_polar_pairing)
+    for (t, i, j), value in fast.items():
+        want = cometric_pairing(i, j, t)
+        if TD in (i, j):
+            assert value == want
+        else:
+            assert abs(value - want) <= 1e-14 * abs(want)
 
 
 def test_pairing_regular_nearly_constant():
@@ -125,6 +166,7 @@ def test_quadrature_doubling():
     for t in (1e-2, 1e-5, 1e-8):
         spec = AnnulusSpec(t=t)
         assert pairing_self_consistency(N, N, spec) <= 1e-6
+        assert pairing_self_consistency(N, R, spec) <= 1e-6
         assert pairing_self_consistency(TD, T, spec) <= 1e-6
 
 

@@ -91,6 +91,10 @@ def test_masur_and_expansion(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(abs(r - 1) < 0.01 for r in doc["ratio_xixi"])
+    # the layout `hornlab experiment expansion` writes
+    csv_lines = (tmp_path / "expansion.csv").read_text().strip().split("\n")
+    assert csv_lines[0] == "t,xi,coeff_xixi,ratio_xixi,coeff_thth_over_xi6,ratio_thth"
+    assert len(csv_lines) == 4
 
 
 def test_usage_errors():
