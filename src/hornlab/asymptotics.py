@@ -295,7 +295,7 @@ class PairingMetricTable:
     G_tt: list[float]
 
 
-def metric_from_pairings(t_grid, *, n_r: int = 256, n_phi: int = 64) -> PairingMetricTable:
+def metric_from_pairings(t_grid, *, n_r: int = 256) -> PairingMetricTable:
     """Invert the 2x2 (normal, tangential) pairing matrix per t.
 
     Cofactor rule; the diagonal dominance of the pairing matrix as t -> 0
@@ -303,7 +303,7 @@ def metric_from_pairings(t_grid, *, n_r: int = 256, n_phi: int = 64) -> PairingM
     """
     rows = {k: [] for k in ("P_nn", "P_nt", "P_tt", "G_nn", "G_nt", "G_tt")}
     for t in t_grid:
-        spec = AnnulusSpec(t=t, n_r=n_r, n_phi=n_phi)
+        spec = AnnulusSpec(t=t, n_r=n_r)
         p_nn = cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.NORMAL, t, spec)
         p_nt = cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.TANGENTIAL, t, spec)
         p_tt = cometric_pairing(DifferentialModel.TANGENTIAL, DifferentialModel.TANGENTIAL, t, spec)
@@ -340,7 +340,7 @@ class SubstitutionReport:
 
 
 def substitution_check(t_grid, G_values=None, C: float | None = None,
-                       *, n_r: int = 256, n_phi: int = 64) -> SubstitutionReport:
+                       *, n_r: int = 256) -> SubstitutionReport:
     """Pull the radial metric G(t) |dt|^2 back through xi = (-log|t|)^(-1/2).
 
     With s = -log|t| = xi^-2 the flat factor |dt|^2 = e^{-2s} (ds^2 +
@@ -352,7 +352,7 @@ def substitution_check(t_grid, G_values=None, C: float | None = None,
     """
     t_abs = [float(abs(t)) for t in t_grid]
     if G_values is None:
-        table = metric_from_pairings(t_grid, n_r=n_r, n_phi=n_phi)
+        table = metric_from_pairings(t_grid, n_r=n_r)
         G_values = table.G_nn
     if C is None:
         C = 3.0 / (2.0 * math.pi)  # reciprocal of the (2 pi / 3) pairing amplitude

@@ -250,8 +250,7 @@ def cmd_masur(args) -> int:
 
 def cmd_expansion(args) -> int:
     s_values = [float(v) for v in args.svalues.split(",")]
-    rep = substitution_check([math.exp(-s) for s in s_values],
-                             n_r=args.n_r, n_phi=args.n_phi)
+    rep = substitution_check([math.exp(-s) for s in s_values], n_r=args.n_r)
     out = _out_dir(args)
     if out is not None:
         (out / "expansion.csv").write_text(csv_text(*rep.csv_table()))
@@ -367,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svalues", default="25,30,36,43,52,64",
                    help="comma list of s = -log t")
     p.add_argument("--n-r", type=int, default=256)
-    p.add_argument("--n-phi", type=int, default=64,
-                   help="angles averaged per radius in tangential_deformed pairings")
     p.set_defaults(fn=cmd_expansion)
 
     p = sub.add_parser("experiment", help="run a named experiment")

@@ -462,12 +462,11 @@ def run_masur(config: ExperimentConfig) -> ExperimentReport:
     pars = config.parameters
     ts = _t_grid(pars)
     n_r = int(pars.get("n_r", 256))
-    n_phi = int(pars.get("n_phi", 64))
     checks: list[Assertion] = []
     artifacts: list[str] = []
     nn, nt, nr = [], [], []
     for t in ts:
-        spec = AnnulusSpec(t=t, n_r=n_r, n_phi=n_phi)
+        spec = AnnulusSpec(t=t, n_r=n_r)
         nn.append(cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.NORMAL, t, spec))
         nt.append(cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.TANGENTIAL, t, spec))
         nr.append(cometric_pairing(DifferentialModel.NORMAL, DifferentialModel.REGULAR, t, spec))
@@ -499,7 +498,7 @@ def run_masur(config: ExperimentConfig) -> ExperimentReport:
     # the cross fit uses
     worst = 0.0
     for t in (ts[0], ts[len(ts) // 2], ts[-1]):
-        spec = AnnulusSpec(t=t, n_r=n_r, n_phi=n_phi)
+        spec = AnnulusSpec(t=t, n_r=n_r)
         for other in (DifferentialModel.NORMAL, DifferentialModel.REGULAR):
             worst = max(worst, pairing_self_consistency(DifferentialModel.NORMAL, other, spec))
     checks.append(Assertion(
@@ -526,8 +525,7 @@ def run_expansion(config: ExperimentConfig) -> ExperimentReport:
     ts = [math.exp(-s) for s in s_values]
     checks: list[Assertion] = []
     artifacts: list[str] = []
-    rep = substitution_check(ts, n_r=int(pars.get("n_r", 256)),
-                             n_phi=int(pars.get("n_phi", 64)))
+    rep = substitution_check(ts, n_r=int(pars.get("n_r", 256)))
     xi_ok = all(x <= 0.2 + 1e-12 for x in rep.xi)
     checks.append(Assertion(
         "grid_in_asymptotic_range", xi_ok, max(rep.xi), "<= 0.2", None,

@@ -654,10 +654,11 @@ CS_INNER_ITERS = 120  # descent steps per refinement level
 
 
 def _shoot_with_jacobian(space: SpaceSpec, x0: np.ndarray, v: np.ndarray):
-    """``exp_x0(v)`` and its Jacobian in v from one integration of the rows
-    ``v, v + delta e_k``, all scaled by the base speed L so that every row
-    ends at s = L; ``(None, None)`` if the base row snaps, and J is None
-    if a partner row snaps or goes non-finite."""
+    """``exp_x0(v)`` and its Jacobian in v from one eighth-order
+    integration, at ``atol = 1e-12``, of the rows ``v, v + delta e_k``, all
+    scaled by the base speed L so that every row ends at s = L; ``(None,
+    None)`` if the base row snaps, and J is None if a partner row snaps or
+    goes non-finite."""
     speed = math.sqrt(v @ metric_at_chart(space, x0) @ v)
     if speed == 0.0:
         return None, None
@@ -684,6 +685,12 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     Jacobian, so the shoot that accepts a line-search candidate also yields
     the next step's Jacobian.  A partner row that snaps or goes non-finite
     ends Newton for the guess; the base row's IntegrationError propagates.
+    A guess can leave the chart's positive-definite region: on
+    ``PerturbedHorn(B=1, b3=0.3)`` x E^1 the tests' underflow pair's chord
+    runs into its edge ``xi^6 = 4B (1 + a4 xi^4) / b3^2`` (xi = 1.88207),
+    where the metric's least eigenvalue is ~2e-8 and the step underflows.
+    Skipping that guess took 4x as long and still gave an interval; taking
+    every underflow as a failed candidate certified the pair in 9x the time.
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
@@ -1021,7 +1028,9 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     the coupled solver fails to integrate, the error is converted to an
     interval [lower, upper] (the upper bound routes radially through the
     collapsed axis; see :func:`lower_bound_distance` for what the lower
-    bound assumes on coupled charts).
+    bound assumes on coupled charts).  A shoot that leaves a coupled
+    chart's positive-definite region underflows its step, so such a pair
+    stays an interval (see :func:`shooting_connect`).
     """
     if points_equal(p, q):
         return 0.0

@@ -1,21 +1,25 @@
 """Geodesic initial value solver.
 
-Integrates the geodesic equation of the chart metric with an embedded
-Dormand-Prince 5(4) pair over a stack of states ``(x, v)``, one per row.
-Row 0, the base row, alone sets the step size, error norm, step cap,
-snap test and step underflow, so it follows the trajectory a one-row
-shoot integrates; the other rows ride its step sequence, and shooting
-differences their endpoints for its Jacobian (internal numerical
-differentiation, Bock 1981).  Near horn factors the step is capped at
-``xi / 4`` because the curvature ``-3/(2 xi^2)`` blows up as a block
-approaches its collapsed axis.  When a horn coordinate of the base row
-falls below the snap threshold the run terminates on the stratum and the
-endpoint is canonicalized to the boundary marker; a partner row that
-snaps or goes non-finite drops all partners.
+Integrates the geodesic equation of the chart metric with the embedded
+Dormand-Prince 8(5,3) pair (Hairer, Norsett and Wanner, *Solving ODEs I*,
+II.10) over a stack of states ``(x, v)``, one per row.  The error norm
+mixes the fifth- and third-order estimators as ``|e5|^2 / sqrt(|e5|^2 +
+0.01 |e3|^2)`` and steps scale with its -1/8 power.  Row 0, the base row,
+alone sets the step size, error norm, step cap, snap test and step
+underflow, so it follows the trajectory a one-row shoot integrates; the
+other rows ride its step sequence, and shooting differences their
+endpoints for its Jacobian (internal numerical differentiation, Bock
+1981).  Near horn factors the step is capped at ``xi / 4`` because the
+curvature ``-3/(2 xi^2)`` blows up as a block approaches its collapsed
+axis.  When a horn coordinate of the base row falls below the snap
+threshold the run terminates on the stratum and the endpoint is
+canonicalized to the boundary marker; a partner row that snaps or goes
+non-finite drops all partners.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,22 +39,14 @@ from .spaces import (
 )
 from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 
-# Dormand-Prince 5(4) tableau: stage i combines stages 0..i-1 with _A[i].
-# The last row is the fifth-order solution, where stage 6 is evaluated, so
-# an accepted step's stage 6 is the next step's stage 0.
-_A = [np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)]
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_ERR = np.append(_A[6], 0.0) - _B4
+@functools.cache
+def _tableau():
+    """Rows of ``A`` (stage i combines stages 0..i-1), ``B``, ``E5`` and
+    ``E3`` of the 12-stage pair, imported on the first shoot: loading
+    ``scipy.integrate`` at module level would slow ``import hornlab``."""
+    from scipy.integrate._ivp import dop853_coefficients as c
+
+    return [c.A[i, :i] for i in range(c.N_STAGES)], c.B, c.E5, c.E3
 
 
 def acceleration_fn(space: SpaceSpec):
@@ -106,17 +102,20 @@ def shoot_rows(space: SpaceSpec, x: np.ndarray, V: np.ndarray, arclength: float,
     """Integrate geodesics from chart point x with chart velocities V.
 
     Each row of V starts one geodesic; all of them run for ``arclength``
-    on the step sequence that row 0 chooses (see the module docstring).
+    on the eighth-order steps that row 0 chooses (see the module
+    docstring), and ``s`` and ``base`` hold one sample per accepted step.
     Raises IntegrationError when the base row's step underflows
     ``min_step``.  ``end`` keeps one row when a partner row snapped or
     went non-finite, or when the base row snapped.
     """
+    A, B, E5, E3 = _tableau()
+    m = len(B)  # stage m is evaluated at the new state
     accel = acceleration_fn(space)
     n = space.dim
     w = 2 * n  # one state; the stack is flat, the base row first
     xi_idx = np.array(space.xi_offsets, dtype=int)
     y = np.concatenate([np.broadcast_to(x, V.shape), V], axis=1).ravel()
-    k = np.empty((7, y.size))  # stage derivatives, one flat stack per stage
+    k = np.empty((m + 1, y.size))  # stage derivatives, one flat stack per stage
 
     def rhs(y, out):
         if len(y) == w:  # one state costs less in the scalar arithmetic of 1-D input
@@ -128,13 +127,18 @@ def shoot_rows(space: SpaceSpec, x: np.ndarray, V: np.ndarray, arclength: float,
         O[:, n:] = accel(Y[:, :n], Y[:, n:])
 
     def step_once(y, h):
-        """Trial step from y, whose derivative is k[0]: the fifth-order
-        state (stage 6 evaluated there) and row 0's error norm."""
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            rhs(yi, k[i])
-        r = h * (_ERR @ k[:, :w]) / (atol * (1.0 + np.abs(yi[:w])))
-        return yi, math.sqrt(float(r @ r) / w)
+        """Trial step from y, whose derivative is k[0]: the eighth-order
+        state (stage m evaluated there) and row 0's error norm.  Partner
+        rows may overflow in trial stages near a chart's edge, and are
+        dropped after the step, so only a lone base row warns."""
+        with np.errstate(**({} if len(y) == w else {"over": "ignore", "invalid": "ignore"})):
+            for i in range(1, m):
+                rhs(y + h * (A[i] @ k[:i]), k[i])
+            y_new = y + h * (B @ k[:m])
+            rhs(y_new, k[m])
+        scale = atol * (1.0 + np.abs(y_new[:w]))
+        e5, e3 = (float(np.sum((E @ k[:, :w] / scale) ** 2)) for E in (E5, E3))
+        return y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * w) if e5 else 0.0
 
     def level(y):
         """Lowest horn level over the flat states y, inf without horns."""
@@ -158,8 +162,8 @@ def shoot_rows(space: SpaceSpec, x: np.ndarray, V: np.ndarray, arclength: float,
                 last_state=(s, y[:w].copy()),
             )
         y_new, enorm = step_once(y, h)
-        if enorm > 1.0:
-            h *= max(0.2, 0.9 * enorm ** (-0.2))
+        if not enorm <= 1.0:  # a non-finite base row is rejected too
+            h *= max(0.2, 0.9 * enorm ** (-0.125))
             continue
         if level(y_new[:w]) < XI_SNAP:
             # bisect the step so the base row lands on the snap threshold
@@ -182,12 +186,12 @@ def shoot_rows(space: SpaceSpec, x: np.ndarray, V: np.ndarray, arclength: float,
             break
         s += h
         y = y_new
-        k[0] = k[6]
+        k[0] = k[m]
         if len(y) > w and (level(y[w:]) < XI_SNAP or not np.isfinite(y[w:]).all()):
             y, k = y[:w], np.ascontiguousarray(k[:, :w])
         s_nodes.append(s)
         states.append(y[:w].copy())
-        h = h * min(5.0, max(0.2, 0.9 * (enorm + 1e-16) ** (-0.2)))
+        h = h * min(5.0, max(0.2, 0.9 * (enorm + 1e-16) ** (-0.125)))
 
     return RowShoot(np.array(s_nodes), np.array(states), y.reshape(-1, w), hit)
 
@@ -223,7 +227,9 @@ class GeodesicSegment:
         return list(zip(self.params.tolist(), self.points))
 
     def point_at(self, x: float) -> CompletionPoint:
-        """Point at parameter ``x`` in [0, 1] (exact for BVP segments)."""
+        """Point at parameter ``x`` in [0, 1]: exact for BVP segments, cubic
+        Hermite in arclength on a shot's chart states and unit velocities
+        between accepted steps, the nearer sample next to a stratum."""
         x = float(min(max(x, 0.0), 1.0))
         if self._eval is not None:
             return self._eval(x)
@@ -234,9 +240,12 @@ class GeodesicSegment:
         a, b = self.points[i - 1], self.points[i]
         if a.stratum() or b.stratum():
             return a if w < 0.5 else b
-        va = chart_vector(self.space, a)
-        vb = chart_vector(self.space, b)
-        return point_from_chart(self.space, (1 - w) * va + w * vb)
+        ds = (hi - lo) * self.length
+        (xa, xb), (va, vb) = self.chart[i - 1:i + 1], self.chart_velocity[i - 1:i + 1]
+        u = 1.0 - w
+        chart = ((u * u * (1 + 2 * w)) * xa + (w * w * (3 - 2 * w)) * xb
+                 + (ds * w * u) * (u * va - w * vb))
+        return point_from_chart(self.space, chart)
 
 
 def geodesic_shoot(
@@ -276,18 +285,9 @@ def geodesic_shoot(
     pts.append(_final_point(space, chart[-1], snapped=run.hit))
     total = float(run.s[-1])
     params = run.s / total if total > 0 else run.s
-    return GeodesicSegment(
-        space=space,
-        start=point,
-        velocity=velocity,
-        length=total,
-        params=params,
-        points=pts,
-        speeds=speeds,
-        hit_stratum=run.hit,
-        chart=chart,
-        chart_velocity=chart_v,
-    )
+    return GeodesicSegment(space=space, start=point, velocity=velocity, length=total,
+                           params=params, points=pts, speeds=speeds, hit_stratum=run.hit,
+                           chart=chart, chart_velocity=chart_v)
 
 
 def _final_point(space: SpaceSpec, x: np.ndarray, snapped: bool) -> CompletionPoint:
@@ -308,11 +308,5 @@ def clairaut_series(space: SpaceSpec, segment: GeodesicSegment) -> np.ndarray:
     if segment.chart is None or segment.chart_velocity is None:
         raise ValueError("clairaut series needs raw integrator states")
     slices = space.chart_slices()
-    rows = []
-    for idx in space.horn_indices:
-        prof = space.factors[idx].profile
-        k = slices[idx].start
-        xi = segment.chart[:, k + 1]
-        vth = segment.chart_velocity[:, k]
-        rows.append(prof.f(xi) * vth)
-    return np.array(rows)
+    return np.array([space.factors[i].profile.f(segment.chart[:, slices[i].start + 1])
+                     * segment.chart_velocity[:, slices[i].start] for i in space.horn_indices])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from hornlab.errors import DistanceIntervalError
+from hornlab.errors import DistanceIntervalError, IntegrationError
 from hornlab.geometry import (
     Euclidean,
     PerturbedHorn,
@@ -24,10 +24,11 @@ from hornlab.geometry import (
     distance,
     lower_bound_distance,
     make_point,
+    shooting_connect,
     upper_bound_distance,
 )
 from hornlab.geometry.connect import _block_tridiagonal_solve, _WarpedPath
-from hornlab.geometry.spaces import HornPoint
+from hornlab.geometry.spaces import HornPoint, point_key
 
 COUPLED = SpaceSpec((PerturbedHorn(B=1.0, a4=0.1, b3=0.2), Euclidean(1)))
 UNDERFLOW = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
@@ -83,6 +84,19 @@ def test_underflow_pair_interval_contains_oracle():
     with pytest.raises(DistanceIntervalError) as exc:
         distance(UNDERFLOW, p, q)
     assert exc.value.lower <= truth <= exc.value.upper
+
+
+def test_underflow_pair_stops_at_positive_definite_edge():
+    # the chord guess runs into xi^6 = 4B (1 + a4 xi^4) / b3^2, where the
+    # chart metric degenerates; the step underflows there
+    p, q = make_point(UNDERFLOW, UNDERFLOW_P), make_point(UNDERFLOW, UNDERFLOW_Q)
+    a, b = (q, p) if point_key(q) < point_key(p) else (p, q)
+    with pytest.raises(IntegrationError) as exc:
+        shooting_connect(UNDERFLOW, a, b)
+    factor = UNDERFLOW.factors[0]
+    edge = (4.0 * factor.B / factor.b3**2) ** (1.0 / 6.0)  # a4 = 0
+    _, state = exc.value.last_state
+    assert abs(state[1] - edge) <= 1e-3
 
 
 def test_coupled_bounds_contain_distance():

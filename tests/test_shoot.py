@@ -115,7 +115,7 @@ def test_shoot_rejects_bad_input():
 def test_point_at_interpolation():
     p = make_point(HYP, [(0.0, 1.0)])
     seg = geodesic_shoot(HYP, p, tangent_from_chart(HYP, [0.0, 1.0]), 1.0)
-    # sample interpolation is linear between accepted steps: coarse but sane
+    # cubic Hermite between accepted steps (see test_shoot_order.py for its bound)
     mid = seg.point_at(0.5)
     x, y = mid.blocks[0]
     assert y == pytest.approx(math.exp(0.5), abs=1e-3)
