@@ -15,17 +15,28 @@ whether the infimum is attained: an interior certified minimizer gives
 the semisimple column, an escaping minimizing sequence (horn coordinate
 collapsing, or coordinates running off every box while the displacement
 decreases) gives the non-semisimple one.  A search that can do neither
-reports inconclusive rather than guessing a cell.
+reports inconclusive rather than guessing a cell; every result records
+the phase that decided and the evaluations each phase spent.
+
+The search minimizes one objective per isometry on the search chart:
+each chart point goes to its validated blocks (``search_blocks``) and
+their images (:meth:`Isometry.apply_blocks`), the helpers behind
+``point_from_search`` and :meth:`Isometry.apply`, and
+``connect.distance`` measures the pair, with no ``make_point`` round
+trip.  Its Nelder-Mead runs (and the
+centre search of :func:`divergence_profile`) are :func:`_nelder_mead`,
+scipy's algorithm on Python floats with scipy's iterates bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .errors import BasinError, FlowBudgetError
 from .geometry import (
@@ -42,7 +53,14 @@ from .geometry import (
     metric_tensor,
     point_along,
 )
-from .geometry.spaces import _wire_int, _wire_parser, point_from_search, search_vector
+from .geometry.spaces import (
+    Block,
+    _wire_int,
+    _wire_parser,
+    point_from_search,
+    search_blocks,
+    search_vector,
+)
 from .paths import DiscretePath, refine_flow
 
 #: Translation lengths below this count as zero for classification.
@@ -247,13 +265,24 @@ class Isometry:
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "permutation", permutation)
 
+    @functools.cached_property
+    def _slots(self) -> tuple:
+        """Per source factor: its action's ``apply_block``, the target
+        slot's ``block`` validator and the target slot."""
+        factors = self.space.factors
+        return tuple((act.apply_block, factors[tgt].block, tgt)
+                     for act, tgt in zip(self.actions, self.permutation))
+
+    def apply_blocks(self, blocks) -> tuple[Block, ...]:
+        """Canonical blocks of ``gamma p`` from the canonical blocks of ``p``:
+        each factor action, then the target slot's validation and snap."""
+        out = [None] * len(blocks)
+        for blk, (apply_block, block, tgt) in zip(blocks, self._slots, strict=True):
+            out[tgt] = block(None if isinstance(blk, BoundaryPoint) else apply_block(blk))
+        return tuple(out)
+
     def apply(self, point: CompletionPoint) -> CompletionPoint:
-        raw = [None] * len(self.space.factors)
-        for i, action in enumerate(self.actions):
-            blk = point.blocks[i]
-            raw[self.permutation[i]] = (
-                None if isinstance(blk, BoundaryPoint) else action.apply_block(blk))
-        return make_point(self.space, raw)
+        return CompletionPoint(self.apply_blocks(point.blocks))
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other."""
@@ -395,13 +424,66 @@ class EscapeWitness:
         return "coordinates -> infinity escape"
 
 
+#: phases of the search that evaluate the objective, in order
+PHASES = ("coarse", "polish", "collapse", "infinity", "certificate")
+#: what can decide a search: an exact fixed point, a collapse ray, a
+#: candidate at a search clamp, a ray to infinity, or the certificate
+#: probe (which decides "inconclusive" when it finds an improvement)
+DECIDERS = ("fixed-point", "collapse-ray", "clamp", "infinity-ray", "certificate")
+
+
 @dataclass
 class TranslationLengthResult:
+    """``evaluations`` is the objective's evaluation count, the sum of
+    ``phase_evaluations`` (keyed by :data:`PHASES`); ``decided_by`` is one
+    of :data:`DECIDERS`.
+
+    The counts are reproducible on one numpy build only: Nelder-Mead
+    orders tied vertex values by ``np.argsort``, as scipy does, and a SIMD
+    build's sort is not stable, so another build can take other iterates
+    after a tie and spend a few evaluations more or fewer.
+    """
+
     L_estimate: float
     attained: bool
     witness: CompletionPoint | EscapeWitness | None
     status: str  # "ok" or "inconclusive"
     evaluations: int = 0
+    decided_by: str = ""
+    phase_evaluations: dict = field(default_factory=dict)
+
+
+class _Objective:
+    """The displacement ``u -> d(p, gamma p)`` on the search chart, for
+    one isometry, counting its evaluations by search phase.
+
+    ``p`` is :func:`search_blocks` of ``u`` and ``gamma p``
+    :meth:`Isometry.apply_blocks` of those blocks: what
+    ``displacement(iso, point_from_search(space, u))`` computes, read on
+    Python floats.  ``connect.distance`` evaluates the pair, and its
+    DistanceIntervalError propagates.
+    """
+
+    def __init__(self, iso: Isometry):
+        self.iso = iso
+        self.space = iso.space
+        self.phase = PHASES[0]
+        self.evals = dict.fromkeys(PHASES, 0)
+
+    def pair(self, u: np.ndarray) -> tuple[CompletionPoint, CompletionPoint]:
+        """``(p, gamma p)`` at search-chart coordinates ``u``."""
+        blocks = search_blocks(self.space, u.tolist())
+        return CompletionPoint(blocks), CompletionPoint(self.iso.apply_blocks(blocks))
+
+    def __call__(self, u: np.ndarray) -> float:
+        self.evals[self.phase] += 1
+        return distance(self.space, *self.pair(u))
+
+    def horn_part(self, u: np.ndarray) -> float:
+        """Largest horn-factor distance of the pair at ``u``; 0 on a
+        b3-coupled chart, which has no per-factor distances."""
+        parts = factor_distances(self.space, *self.pair(u))
+        return 0.0 if parts is None else max(parts[i] for i in self.space.horn_indices)
 
 
 def _interiority(space: SpaceSpec, u: np.ndarray) -> float:
@@ -474,13 +556,89 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     return None
 
 
+# Nelder-Mead coefficients: reflection, expansion, contraction, shrink
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+
+
+def _sort_vertices(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in numpy's ``argsort`` order of value, as scipy
+    sorts them: NaN last, ties in the order of the build's sort, which is
+    not stable on SIMD builds."""
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(F, x0, maxiter: int, xatol: float, fatol: float) -> tuple[np.ndarray, float]:
+    """Minimize ``F`` from ``x0``: ``(best vertex, least value)``.
+
+    scipy's ``_minimize_neldermead`` without bounds and with
+    ``adaptive=False``, step for step on Python floats, so every iterate
+    and the result are scipy's bit for bit: the initial simplex scales
+    each coordinate by 1.05 (a zero one becomes 0.00025), the centroid
+    sums the vertices row by row, the trial points are scipy's float
+    expressions, the xatol/fatol test precedes each iteration, and the
+    iteration counter starts at 1 so at most ``maxiter - 1`` iterations
+    run.  ``F`` receives each trial point as a fresh 1-D float array.
+    The least value is NaN when any vertex value is.
+    """
+    x0 = [float(c) for c in x0]
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+
+    def f(x):
+        return float(F(np.array(x)))
+
+    fsim = [f(x) for x in sim]
+    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))  # scipy sorts twice here
+    iterations = 1
+    while iterations < maxiter:
+        best = sim[0]
+        if (all(abs(c - b) <= xatol for x in sim[1:] for c, b in zip(x, best))
+                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
+            break
+        xbar = sim[0]
+        for x in sim[1:-1]:
+            xbar = [a + c for a, c in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xr = [(1 + _RHO) * a - _RHO * w for a, w in zip(xbar, worst)]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * w for a, w in zip(xbar, worst)]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * w for a, w in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = [(1 - _PSI) * a + _PSI * w for a, w in zip(xbar, worst)]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = [b + _SIGMA * (c - b) for b, c in zip(best, sim[j])]
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _sort_vertices(sim, fsim)
+    fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan  # NaN values sort last
+    return np.array(sim[0]), fun
+
+
 def _polish(F, u0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fine Nelder-Mead run from ``u0``: ``(value, point)``."""
-    res = minimize(
-        F, u0, method="Nelder-Mead",
-        options={"maxiter": NM_MAXITER * len(u0), "xatol": 1e-9, "fatol": 1e-13},
-    )
-    return float(res.fun), res.x
+    """Fine Nelder-Mead run from ``u0``, at most ``NM_MAXITER`` iterations
+    per chart dimension: ``(value, point)``."""
+    u, val = _nelder_mead(F, u0, NM_MAXITER * len(u0), 1e-9, 1e-13)
+    return val, u
 
 
 def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: float):
@@ -542,37 +700,38 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     """Infimum of the displacement over interior points.
 
     A Gauss-Newton fixed-point search settles the periodic cell exactly.
-    Otherwise multi-start Nelder-Mead over expanding boxes in the
-    transformed chart produces candidates; collapse rays (driving every
-    horn coordinate down while watching the per-factor distances, since
-    the total can sit flat at double precision when another factor
-    dominates) and coordinate rays to infinity look for escaping
-    minimizing sequences, and a trust-region no-improvement certificate
-    backs any attainment claim.  Returns status "inconclusive" when
-    neither a certificate nor escape evidence materializes in budget.
+    Otherwise multi-start Nelder-Mead (:func:`_nelder_mead`) over
+    expanding boxes in the transformed chart produces candidates; collapse
+    rays (driving every horn coordinate down while watching the per-factor
+    distances, since the total can sit flat at double precision when
+    another factor dominates) and coordinate rays to infinity look for
+    escaping minimizing sequences, and a trust-region no-improvement
+    certificate backs any attainment claim.  Every phase evaluates one
+    objective, :class:`_Objective`, made once for the isometry.  Returns
+    status "inconclusive" when neither a certificate nor escape evidence
+    materializes in budget.  The result records the phase that decided
+    and the evaluations each phase spent.
     """
-    evals = 0
-
-    def F(u: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return displacement(iso, point_from_search(iso.space, u))
-
-    L, witness = _search(iso, F, np.random.default_rng(budget.seed))
+    F = _Objective(iso)
+    L, witness, decided_by = _search(iso, F, np.random.default_rng(budget.seed))
     return TranslationLengthResult(
         L_estimate=L, attained=isinstance(witness, CompletionPoint), witness=witness,
-        status="ok" if witness is not None else "inconclusive", evaluations=evals,
+        status="ok" if witness is not None else "inconclusive",
+        evaluations=sum(F.evals.values()), decided_by=decided_by,
+        phase_evaluations=dict(F.evals),
     )
 
 
-def _search(iso: Isometry, F, rng: np.random.Generator):
+def _search(iso: Isometry, F: _Objective, rng: np.random.Generator):
     """The phases of :func:`translation_length` in order until one decides:
-    ``(L estimate, witness)``, the witness a minimizer when attained, an
-    :class:`EscapeWitness` when escaping and None when inconclusive."""
+    ``(L estimate, witness, decider)``, the witness a minimizer when
+    attained, an :class:`EscapeWitness` when escaping and None when
+    inconclusive, the decider one of :data:`DECIDERS`.  ``F.phase`` names
+    the phase that spends each evaluation."""
     space = iso.space
     fixed = _fixed_point_search(iso, rng)
     if fixed is not None:
-        return fixed
+        return (*fixed, "fixed-point")
 
     d = space.dim
     starts = [search_vector(space, base_point(space))]
@@ -585,12 +744,10 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
     # flat horn direction cannot shadow an attained minimum
     coarse = []
     for u0 in starts:
-        res = minimize(
-            F, u0, method="Nelder-Mead",
-            options={"maxiter": 50 * d, "xatol": 1e-6, "fatol": 1e-10},
-        )
-        coarse.append((float(res.fun), res.x))
+        u, val = _nelder_mead(F, u0, 50 * d, 1e-6, 1e-10)
+        coarse.append((val, u))
     coarse.sort(key=lambda t: t[0])
+    F.phase = "polish"
     best_u, best_val = None, math.inf
     int_u, int_val = None, math.inf
     polish = coarse[:6] + [t for t in coarse[6:] if _is_interior_candidate(space, t[1])][:2]
@@ -608,29 +765,25 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
 
     horn_log_slots = list(space.xi_offsets)  # the opt chart keeps the chart layout
 
-    def horn_part(u: np.ndarray) -> float:  # only called when there are horns
-        p = point_from_search(space, u)
-        parts = factor_distances(space, p, iso.apply(p))
-        return 0.0 if parts is None else max(parts[i] for i in space.horn_indices)
-
     # collapse rays drive every horn coordinate down; evidence needs the
     # total to never increase while the horn contribution collapses
+    F.phase = "collapse"
     sources = [(best_u, best_val)]
     if int_u is not None and not np.array_equal(int_u, best_u):
         sources.append((int_u, int_val))
     hits = []
     for u_src, v_src in sources if horn_log_slots else ():
         u = search_vector(space, point_from_search(space, u_src))  # canonical through clamps
-        h0 = horn_part(u)
+        h0 = F.horn_part(u)
         if h0 <= 0.0:
             continue
         walk = _descend(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), v_src)
-        if walk is not None and horn_part(walk[3]) <= 1e-3 * h0:
+        if walk is not None and F.horn_part(walk[3]) <= 1e-3 * h0:
             hits.append(walk[:2])
     escape = _escape_witness(hits, space.horn_indices)
     ref = min(best_val, int_val)
     if escape is not None and escape.displacements[-1] <= ref + 1e-12 * (1.0 + abs(ref)):
-        return min(best_val, escape.displacements[-1]), escape
+        return min(best_val, escape.displacements[-1]), escape, "collapse-ray"
 
     if int_u is None:
         # every competitive candidate hugs a search clamp
@@ -639,10 +792,11 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
             isinstance(b, HornPoint) and b.xi < XI_ATTAIN for b in best_point.blocks
         )
         return best_val, _escape_witness([([best_point], [best_val])],
-                                         space.horn_indices if at_floor else ())
+                                         space.horn_indices if at_floor else ()), "clamp"
 
     # rays to infinity: every direction except driving a horn level down,
     # which the collapse rays own
+    F.phase = "infinity"
     hits = []
     for slot in range(d):
         for sgn in (1.0,) if slot in horn_log_slots else (1.0, -1.0):
@@ -652,14 +806,15 @@ def _search(iso: Isometry, F, rng: np.random.Generator):
                 hits.append(walk[:2])
     escape = _escape_witness(hits, ())
     if escape is not None and escape.displacements[-1] < max(0.5 * int_val, int_val - 1e-10):
-        return min(best_val, escape.displacements[-1]), escape
+        return min(best_val, escape.displacements[-1]), escape, "infinity-ray"
 
+    F.phase = "certificate"
     improved = _certificate_probe(F, int_u, int_val, rng)
     if improved is not None:
         val, _ = _polish(F, improved)
         if val < int_val - IMPROVE_TOL:
-            return val, None
-    return int_val, point_from_search(space, int_u)
+            return val, None, "certificate"
+    return int_val, point_from_search(space, int_u), "certificate"
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +832,17 @@ CLASS_LABELS = (PERIODIC, STRICTLY_PSEUDOPERIODIC, PSEUDO_ANOSOV, REDUCIBLE)
 
 @dataclass
 class ClassificationResult:
+    """``evidence`` is the search's decision record: the phase that decided
+    (``decided_by``) and the objective evaluations per phase, which are
+    reproducible on one numpy build only (see
+    :class:`TranslationLengthResult`)."""
+
     label: str
     L_estimate: float
     attained: bool
     witness: CompletionPoint | EscapeWitness | None
     status: str
+    evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         if isinstance(self.witness, EscapeWitness):
@@ -699,15 +860,17 @@ class ClassificationResult:
             "attained": self.attained,
             "status": self.status,
             "witness": witness,
+            "evidence": self.evidence,
         }
 
 
 def classify(iso: Isometry, budget: SearchBudget = SearchBudget()) -> ClassificationResult:
     """Place an isometry in one of the four translation-length cells."""
     res = translation_length(iso, budget)
+    evidence = {"decided_by": res.decided_by, "evaluations": res.phase_evaluations}
     if res.status != "ok":
         return ClassificationResult(INCONCLUSIVE, res.L_estimate, res.attained,
-                                    res.witness, "inconclusive")
+                                    res.witness, "inconclusive", evidence)
     zero = res.L_estimate < L_TOL
     if zero and res.attained:
         label = PERIODIC
@@ -717,7 +880,8 @@ def classify(iso: Isometry, budget: SearchBudget = SearchBudget()) -> Classifica
         label = PSEUDO_ANOSOV
     else:
         label = REDUCIBLE
-    return ClassificationResult(label, res.L_estimate, res.attained, res.witness, "ok")
+    return ClassificationResult(label, res.L_estimate, res.attained, res.witness, "ok",
+                                evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -895,13 +1059,10 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
             d = distance(space, p1, q)
             if d < best[0]:
                 best = (d, float(t), float(s))
-    res = minimize(
+    x, center_d = _nelder_mead(
         lambda u: distance(space, axis1.point_at(u[0]), axis2.point_at(u[1])),
-        np.array(best[1:]), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-    )
-    t_c, s_c = float(res.x[0]), float(res.x[1])
-    center_d = float(res.fun)
+        np.array(best[1:]), 400, 1e-10, 1e-12)
+    t_c, s_c = float(x[0]), float(x[1])
 
     def gap(t, s):
         return distance(space, axis1.point_at(t_c + t), axis2.point_at(s_c + s))

@@ -39,7 +39,7 @@ about 1e-12; see the test suite.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -532,7 +532,10 @@ class _WarpedPath(_FactorPath):
         tangent angle ``tan`` at delta = 0 to nothing at delta = lo (xi* = 0).
         The start is the shallow dip while it stays below half the leg's
         span, else the thin-leg model, else a deep dip under a thick leg,
-        which sweeps ``(2/5) xi*^3 (lo^-5 - hi^-5)``."""
+        which sweeps ``(2/5) xi*^3 (lo^-5 - hi^-5)``.  Its factor
+        ``1 - (lo/hi)^5`` is taken through ``log1p(-span/hi)`` while
+        ``span/hi`` stays below 1, and through ``log(lo/hi)`` once it
+        rounds to 1 (levels some 1e16 apart)."""
         if dth == tan:
             return 0.0  # tangent-degenerate: xi* sits at the lower level
         span = hi - lo
@@ -544,7 +547,9 @@ class _WarpedPath(_FactorPath):
             u = 1.0 / (1.0 + (1.0 / r) ** 2) if r > 1.0 else r * r / (1.0 + r * r)
             xs = lo * u ** (1.0 / 6.0)
             if lo - xs < span:  # a thick leg over a deep dip
-                xs = (2.5 * dth * lo**5 / -math.expm1(5.0 * math.log1p(-span / hi))) ** (1.0 / 3.0)
+                r = span / hi
+                log_ratio = math.log1p(-r) if r < 1.0 else _log_ratio(lo, hi)
+                xs = (2.5 * dth * lo**5 / -math.expm1(5.0 * log_ratio)) ** (1.0 / 3.0)
             delta = lo - min(xs, 0.5 * lo)
         g = _dip_residual(prof, lo, dth, [(span, 1.0, True)], lo)
         lam = _newton_root(g, math.log(max(delta, math.ulp(0.0))),
@@ -557,15 +562,30 @@ class _WarpedPath(_FactorPath):
         """Dip depth of a turning path: the swept angle grows from the
         tangent angle ``tan`` at delta = 0 without bound as xi* falls to 0.
         The start is the shallow dip, else a deep one, where each of the k
-        branches leaving ``lo`` sweeps ``B(5/6, 1/2) / (3 xi*^2)``."""
+        branches leaving ``lo`` sweeps ``B(5/6, 1/2) / (3 xi*^2)``.
+
+        :func:`_newton_root` reads only the sign of the residual at the
+        top of the bracket, ``xi* = lo - cap``.  For a pure-power profile a
+        closed-form bound certifies it: a branch from xi* up to a level at
+        or above ``lo`` sweeps ``B(5/6, 1/2) I_{1-u}(1/2, 5/6) / (3 xi*^2)``
+        with ``u <= (xi*/lo)^6``, and ``I_{1-u}(1/2, 5/6) >= I_{1/2}(1/2, 5/6)
+        = 0.653 > 1/2`` once ``u < 1/2``.  Where that bound does not exceed
+        ``dth``, and on the panel route, the residual is evaluated."""
         cap = lo * (1.0 - 1e-16)
         if x1 == x2:
             k, branches = 2, [(x1 - lo, 2.0, False)]
         else:
             k, branches = 1, [(x1 - lo, 1.0, False), (x2 - lo, 1.0, False)]
         lam_hi = math.log(lo)
-        # a residual of its own, so the solve's first secant does not reach back here
-        g_hi = _dip_residual(prof, lo, dth, branches, cap)(lam_hi)[0]
+        xs_hi = lo - min(math.exp(lam_hi), cap)  # as the residual takes it
+        weight = sum(w for _, w, _ in branches)
+        if (prof.a4 == 0.0 and prof.c6 == 0.0 and prof.f(xs_hi) > 0.0
+                and (xs_hi / lo) ** 6 < 0.5
+                and 0.5 * _BETA * weight / (3.0 * xs_hi * xs_hi) > dth):
+            g_hi = math.inf
+        else:
+            # a residual of its own, so the solve's first secant does not reach back here
+            g_hi = _dip_residual(prof, lo, dth, branches, cap)(lam_hi)[0]
         if not g_hi > 0.0:
             raise ConnectError("turning-level bracket failed")
         excess = dth - tan
@@ -1032,7 +1052,7 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     chart's positive-definite region underflows its step, so such a pair
     stays an interval (see :func:`shooting_connect`).
     """
-    if points_equal(p, q):
+    if p.blocks == q.blocks:  # make_point canonicalizes: points_equal at tol 0
         return 0.0
     try:
         if space.coupled:
@@ -1079,6 +1099,7 @@ _LINE = _Solver(lambda _, a, b: _LinePath(a, b), lambda _, a, b: math.dist(a, b)
                 lambda _, a, b, upper, c: math.dist(a, b))
 _HYP = _Solver(lambda _, a, b: _HypPath(a, b), lambda _, a, b: _hyp_distance(a, b),
                lambda _, a, b, upper, c: _hyp_distance(a, b))
+# late-bound, as _distance_solvers keeps the solvers' functions per space
 _WARP = _Solver(_warp_connect, lambda prof, a, b: _warp_distance(prof, a, b), _warp_bound)
 
 
@@ -1092,6 +1113,12 @@ def _solver(factor) -> _Solver:
     if isinstance(factor, HyperbolicPlane):
         return _HYP
     return _WARP
+
+
+@lru_cache(maxsize=64)
+def _distance_solvers(space: SpaceSpec) -> tuple[tuple[Callable, object], ...]:
+    """Each factor's exact distance and its profile, resolved once per space."""
+    return tuple((_solver(f).distance, f.profile) for f in space.factors)
 
 
 def midpoint(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
@@ -1112,8 +1139,8 @@ def factor_distances(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint
     """Per-factor distances; None when the chart is b3-coupled."""
     if space.coupled:
         return None
-    return [0.0 if a == b else _solver(f).distance(f.profile, a, b)
-            for f, a, b in zip(space.factors, p.blocks, q.blocks)]
+    return [0.0 if a == b else dist(prof, a, b)
+            for (dist, prof), a, b in zip(_distance_solvers(space), p.blocks, q.blocks)]
 
 
 def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:

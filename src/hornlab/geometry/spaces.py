@@ -394,6 +394,11 @@ class SpaceSpec:
             k += f.dim
         return out
 
+    @functools.cached_property
+    def factor_slices(self) -> tuple[tuple[FactorSpec, slice], ...]:
+        """``(factor, chart slice)`` pairs, built once."""
+        return tuple(zip(self.factors, self.chart_slices()))
+
     def first_euclidean_offset(self) -> int | None:
         """Chart offset of the first Euclidean coordinate, if any."""
         i = self.euclid_index
@@ -502,10 +507,15 @@ def search_vector(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
     return np.array(u)
 
 
+def search_blocks(space: SpaceSpec, u) -> tuple[Block, ...]:
+    """Canonical blocks of the point at search-chart coordinates ``u``,
+    levels clamped (a sequence of floats, one per chart coordinate)."""
+    return tuple([f.block(f.search_block(u[sl])) for f, sl in space.factor_slices])
+
+
 def point_from_search(space: SpaceSpec, u) -> CompletionPoint:
     """The point at search-chart coordinates ``u``, levels clamped."""
-    return make_point(space, [f.search_block(u[sl])
-                              for f, sl in zip(space.factors, space.chart_slices())])
+    return CompletionPoint(search_blocks(space, u))
 
 
 def tangent_from_chart(space: SpaceSpec, vec) -> TangentVector:

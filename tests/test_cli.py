@@ -30,6 +30,16 @@ def test_distance(capsys):
     assert doc["distance"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("ends", [("1e-6", "1e12"), ("1e12", "1e-6")])
+def test_distance_between_far_apart_levels(ends, capsys):
+    """Levels 1e18 apart once ended in 'math domain error' and exit 3."""
+    a, b = (f'{{"blocks":[{{"theta":{th},"xi":{xi}}}]}}' for th, xi in zip("01", ends))
+    rc = main(["distance", "--space", HORN_SPACE, "--from", a, "--to", b])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["distance"] == pytest.approx(2e12, rel=1e-12)
+
+
 def test_geodesic_connect_artifacts(tmp_path, capsys):
     rc = main(["geodesic", "--space", HORN_SPACE, "--from", BOUNDARY,
                "--to", TARGET, "--out", str(tmp_path)])
@@ -75,6 +85,8 @@ def test_classify_exit_codes(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["class"] == "pseudoAnosov-analog"
     assert doc["L_estimate"] == pytest.approx(math.log(4.0), abs=1e-6)
+    assert doc["evidence"]["decided_by"] == "certificate"
+    assert sum(doc["evidence"]["evaluations"].values()) > 0
 
 
 def test_masur_and_expansion(tmp_path, capsys):

@@ -103,3 +103,49 @@ def test_radial_inverse_matches_mpmath(frac):
 
         want = mp.findroot(lambda x: H_mp(x) - mp.mpf(target), mp.mpf(got))
     assert abs(got - want) <= 2 * math.ulp(float(want))
+
+
+FAR_LO, FAR_HI = 1e-6, 1e12  # levels 1e18 apart: span / hi rounds to 1
+
+
+def mp_far_leg(lo, hi, dth):
+    """60-digit turning level and length of the monotone leg from lo to hi
+    sweeping dth, with the angle taken on the tails ``I_u(5/6, 1/2)``,
+    which a turning level far below lo leaves near 0."""
+    with mp.workdps(60):
+        a, b = mp.mpf(5) / 6, mp.mpf(1) / 2
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        beta = mp.beta(a, b)
+
+        def theta(xs):
+            tail = (mp.betainc(a, b, 0, (xs / lo) ** 6, regularized=True)
+                    - mp.betainc(a, b, 0, (xs / hi) ** 6, regularized=True))
+            return mp.re(beta * tail / (3 * xs**2))
+
+        xs = mp.findroot(lambda x: theta(x) - dth, (2.5 * dth * lo**5) ** (mp.mpf(1) / 3))
+
+        def primitive(x):  # arclength from the turning level
+            u = (xs / x) ** 6
+            return mp.re(2 * x * mp.sqrt(1 - u)
+                         - 2 * xs / 3 * beta * mp.betainc(b, a, 0, 1 - u, regularized=True))
+
+        return xs, primitive(hi) - primitive(lo)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_far_apart_levels_match_mpmath(flip):
+    """The thick-leg start once took log1p(-span/hi) = log1p(-1) here and
+    raised 'math domain error'."""
+    from hornlab.geometry import SpaceSpec, distance, make_point
+
+    p, q = (0.0, FAR_LO), (1.0, FAR_HI)
+    if flip:
+        p, q = q, p
+    space = SpaceSpec((Horn(),))
+    got = distance(space, make_point(space, [p]), make_point(space, [q]))
+    xs, want = mp_far_leg(FAR_LO, FAR_HI, 1.0)
+    assert abs(got - want) <= REL * want, (got, float(want))
+    path = _WarpedPath(HORN, HornPoint(*p), HornPoint(*q))
+    # xi* = lo - delta carries delta's error, relative to delta, times
+    # lo / xi* (about 7e3 here)
+    assert abs(path.xi_star - xs) <= 1e-9 * xs, (path.xi_star, float(xs))
