@@ -33,19 +33,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import BasinError, FlowBudgetError
 from .geometry import (
-    XI_SNAP,
     BoundaryPoint,
     CompletionPoint,
-    Euclidean,
     HornPoint,
-    HyperbolicPlane,
     SpaceSpec,
     distance,
     factor_distances,
@@ -54,6 +50,7 @@ from .geometry import (
     point_along,
 )
 from .geometry.spaces import (
+    XI_ATTAIN,
     Block,
     _wire_int,
     _wire_parser,
@@ -65,10 +62,6 @@ from .paths import DiscretePath, refine_flow
 
 #: Translation lengths below this count as zero for classification.
 L_TOL = 1e-6
-
-#: Interior certificates additionally require all horn coordinates to sit
-#: at least this far from the snap threshold.
-XI_ATTAIN = 10.0 * XI_SNAP
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +82,6 @@ class HornAction:
         return cls()
 
     def apply_block(self, block):
-        if isinstance(block, BoundaryPoint):
-            return None
         theta = -block.theta if self.reflect else block.theta
         return (self.a + theta, block.xi)
 
@@ -185,41 +176,13 @@ class EuclideanAction:
         return EuclideanAction(Q.T, -Q.T @ t)
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What the group structure and the search chart need of a factor kind.
-
-    ``draw`` is the range of the log-scaled level of a 2-D block in random
-    points and ``inside`` tells a level strictly inside the clamps of the
-    factor's ``search_block``.  Flat blocks have neither.
-    """
-
-    action: type
-    draw: tuple[float, float] = (0.0, 0.0)
-    inside: Callable[[float], bool] | None = None
-
-
-_HORN_KIND = _Kind(HornAction, (-2.5, 0.7), lambda xi: XI_ATTAIN <= xi < math.exp(29.5))
-_HYP_KIND = _Kind(MobiusAction, (-1.5, 1.5), lambda y: abs(math.log(y)) < 59.0)
-_FLAT_KIND = _Kind(EuclideanAction)
-
-
-def _kind(factor) -> _Kind:
-    """The action type and search-chart facts of a factor."""
-    if isinstance(factor, Euclidean):
-        return _FLAT_KIND
-    if isinstance(factor, HyperbolicPlane):
-        return _HYP_KIND
-    return _HORN_KIND
+#: factor wire kind -> the type of its factor actions
+_ACTION_TYPES = {"horn": HornAction, "perturbed_horn": HornAction,
+                 "hyperbolic": MobiusAction, "euclidean": EuclideanAction}
 
 
 def _action_matches(factor, action) -> bool:
-    return isinstance(action, _kind(factor).action) and action.dim == factor.dim
-
-
-def _pair(block):
-    """Coordinates of an interior 2-D block, horn or hyperbolic."""
-    return (block.theta, block.xi) if isinstance(block, HornPoint) else block
+    return isinstance(action, _ACTION_TYPES[factor.kind]) and action.dim == factor.dim
 
 
 @dataclass(frozen=True)
@@ -316,7 +279,7 @@ class Isometry:
 
 
 def identity(space: SpaceSpec) -> Isometry:
-    actions = tuple(_kind(f).action.identity(f.dim) for f in space.factors)
+    actions = tuple(_ACTION_TYPES[f.kind].identity(f.dim) for f in space.factors)
     return Isometry(space, actions)
 
 
@@ -373,19 +336,19 @@ def displacement(iso: Isometry, point: CompletionPoint) -> float:
 
 def random_point(space: SpaceSpec, rng: np.random.Generator) -> CompletionPoint:
     """Random interior point: flat and angle coordinates uniform on [-2, 2],
-    levels log-uniform over the factor kind's ``draw`` range."""
+    levels log-uniform over the factor's ``draw`` range."""
     blocks = []
     for f in space.factors:
         if f.profile is None:
             blocks.append(tuple(rng.uniform(-2.0, 2.0, f.dim)))
         else:
-            blocks.append((rng.uniform(-2.0, 2.0), math.exp(rng.uniform(*_kind(f).draw))))
+            blocks.append((rng.uniform(-2.0, 2.0), math.exp(rng.uniform(*f.draw))))
     return make_point(space, blocks)
 
 
 def base_point(space: SpaceSpec) -> CompletionPoint:
-    return make_point(space, [(0.0,) * f.dim if f.profile is None else (0.0, 1.0)
-                              for f in space.factors])
+    """The origin of the search chart: flat and angle coordinates 0, levels 1."""
+    return point_from_search(space, np.zeros(space.dim))
 
 
 # sizes and tolerances of the translation-length search
@@ -493,15 +456,10 @@ def _interiority(space: SpaceSpec, u: np.ndarray) -> float:
 
 
 def _is_interior_candidate(space: SpaceSpec, u: np.ndarray) -> bool:
-    """True when the point sits strictly inside every search clamp."""
+    """True when every block of the point passes its factor's
+    ``search_inside``; the search chart has no boundary blocks."""
     p = point_from_search(space, u)
-    if p.stratum():
-        return False
-    for f, blk in zip(space.factors, p.blocks):
-        inside = _kind(f).inside
-        if inside is not None and not inside(_pair(blk)[1]):
-            return False
-    return True
+    return all(f.search_inside(blk) for f, blk in zip(space.factors, p.blocks))
 
 
 def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
@@ -520,7 +478,7 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
             return None
         return search_vector(space, q) - u
 
-    starts = [search_vector(space, base_point(space))]
+    starts = [np.zeros(d)]
     for _ in range(4):
         starts.append(rng.uniform(-2.0, 2.0, d))
     for u0 in starts:
@@ -734,7 +692,7 @@ def _search(iso: Isometry, F: _Objective, rng: np.random.Generator):
         return (*fixed, "fixed-point")
 
     d = space.dim
-    starts = [search_vector(space, base_point(space))]
+    starts = [np.zeros(d)]
     for s in range(STARTS - 1):
         j = s % (BOX_LEVELS + 1)
         starts.append(rng.uniform(-(2.0**j), 2.0**j, d))

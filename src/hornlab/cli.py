@@ -264,10 +264,8 @@ def cmd_experiment(args) -> int:
     params = {}
     if args.config:
         params = _load_json_arg(args.config)
-    space = _load_space(args.space) if args.space else None
     config = ExperimentConfig(
-        name=args.name, space=space, parameters=params, seed=args.seed,
-        out_dir=args.out,
+        name=args.name, parameters=params, seed=args.seed, out_dir=args.out,
     )
     report = run_experiment(config)
     sys.stdout.write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
@@ -370,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("name", choices=EXPERIMENT_NAMES)
-    p.add_argument("--space", default=None)
     p.add_argument("--config", default=None, help="parameters JSON")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)

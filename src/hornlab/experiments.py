@@ -52,7 +52,6 @@ from .geometry import (
     distance,
     geodesic_connect,
     make_point,
-    space_to_json,
 )
 from .paths import csv_text, equivariant_seed, point_cells
 
@@ -62,7 +61,6 @@ EXPERIMENT_NAMES = ("interior", "corners", "table1", "diverge", "proper", "masur
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    space: SpaceSpec | None = None
     parameters: dict = field(default_factory=dict)
     seed: int = 0
     out_dir: str | None = None
@@ -122,7 +120,7 @@ class ExperimentReport:
 def config_hash(config: ExperimentConfig) -> str:
     doc = {
         "name": config.name,
-        "space": space_to_json(config.space) if config.space else None,
+        "space": None,  # a former field, kept so every config_hash stays put
         "parameters": config.parameters,
         "seed": config.seed,
     }

@@ -3,10 +3,10 @@
 The product structure does the heavy lifting: a curve in a metric product
 is a geodesic exactly when every factor projection is one, run at its own
 constant speed, so the solver works factor by factor and combines lengths
-in quadrature.  One function, ``_solver``, picks a factor's exact solver
-(its path, its distance and its radial bound term); ``PathBundle``,
-``factor_distances`` (and through it ``distance``) and the distance
-bounds all go through it.  Factor solvers:
+in quadrature.  One table, ``_SOLVERS``, keyed by the factor's wire kind,
+holds a factor's exact solver (its path, its distance and its radial
+bound term); ``PathBundle``, ``factor_distances`` (and through it
+``distance``) and the distance bounds all go through it.  Factor solvers:
 
 * Euclidean: straight lines.
 * Hyperbolic plane: vertical lines and circular arcs, with arclength
@@ -52,9 +52,7 @@ from .spaces import (
     XI_SNAP,
     BoundaryPoint,
     CompletionPoint,
-    Euclidean,
     HornPoint,
-    HyperbolicPlane,
     SpaceSpec,
     TangentVector,
     WarpProfile,
@@ -319,8 +317,7 @@ class _ConstPath(_FactorPath):
     def velocity(self, s):
         if isinstance(self.block, BoundaryPoint):
             return None
-        dim = 2 if isinstance(self.block, HornPoint) else len(self.block)
-        return (0.0,) * dim
+        return (0.0,) * len(self.block)
 
 
 class _LinePath(_FactorPath):
@@ -985,7 +982,7 @@ class PathBundle:
             if i in grouped:
                 continue
             a, b = p.blocks[i], q.blocks[i]
-            path = _ConstPath(a) if a == b else _solver(factor).path(factor.profile, a, b)
+            path = _ConstPath(a) if a == b else _SOLVERS[factor.kind].path(factor.profile, a, b)
             self.units.append(((i,), path))
         self.length = math.sqrt(sum(path.length**2 for _, path in self.units))
 
@@ -1021,8 +1018,10 @@ def geodesic_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     """The geodesic segment from p to q, constant-speed on [0, 1].
 
     Endpoints are reproduced exactly; boundary blocks are allowed on
-    either endpoint.
+    either endpoint.  ``samples`` counts both endpoints, so it is at least 2.
     """
+    if samples < 2:
+        raise ValueError(f"geodesic_connect needs samples >= 2, got {samples}")
     if points_equal(p, q):
         raise ValueError("geodesic_connect requires distinct endpoints")
     bundle = PathBundle(space, p, q)
@@ -1103,22 +1102,17 @@ _HYP = _Solver(lambda _, a, b: _HypPath(a, b), lambda _, a, b: _hyp_distance(a, 
 _WARP = _Solver(_warp_connect, lambda prof, a, b: _warp_distance(prof, a, b), _warp_bound)
 
 
-def _solver(factor) -> _Solver:
-    """The exact solver of one factor's blocks, called with the factor's
-    profile: lines on a Euclidean block, the closed forms of the
-    hyperbolic plane, and the first-integral solver on the warp profile
-    of a horn kind.  Exact solvers are their own radial bounds."""
-    if isinstance(factor, Euclidean):
-        return _LINE
-    if isinstance(factor, HyperbolicPlane):
-        return _HYP
-    return _WARP
+#: factor wire kind -> the exact solver of its blocks, called with the
+#: factor's profile: lines on a Euclidean block, the closed forms of the
+#: hyperbolic plane, and the first-integral solver on the warp profile of
+#: a horn kind.  Exact solvers are their own radial bounds.
+_SOLVERS = {"euclidean": _LINE, "hyperbolic": _HYP, "horn": _WARP, "perturbed_horn": _WARP}
 
 
 @lru_cache(maxsize=64)
 def _distance_solvers(space: SpaceSpec) -> tuple[tuple[Callable, object], ...]:
     """Each factor's exact distance and its profile, resolved once per space."""
-    return tuple((_solver(f).distance, f.profile) for f in space.factors)
+    return tuple((_SOLVERS[f.kind].distance, f.profile) for f in space.factors)
 
 
 def midpoint(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
@@ -1190,7 +1184,7 @@ def _radial_bound(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
             d = math.hypot(dy, math.dist(a[1:], b[1:]))
         else:
             c = len(coupled) * factor.b3**2 if i in coupled else None
-            d = _solver(factor).bound(factor.profile, a, b, upper, c)
+            d = _SOLVERS[factor.kind].bound(factor.profile, a, b, upper, c)
         total += d * d
     return math.sqrt(total)
 

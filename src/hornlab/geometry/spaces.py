@@ -13,9 +13,10 @@ A model space is a finite ordered product of factors:
   space.
 
 The factor protocol.  Every factor class answers for its own block what
-other modules would otherwise decide by testing the factor's kind; the
-only kind tests left outside this module pick a factor's exact solver
-(``connect``) and its action type (``actions``):
+other modules would otherwise decide by testing the factor's kind.  Two
+per-kind choices stay outside this module, each one table keyed by the
+factor's ``kind``: ``connect`` picks a factor's exact solver and
+``actions`` its action type.
 
 * ``dim``, and ``profile``: the warp coefficients of a 2-D block
   ``f(s) dt^2 + h(s) ds^2`` (a :class:`WarpProfile` for the horn kinds,
@@ -31,15 +32,19 @@ only kind tests left outside this module pick a factor's exact solver
 * ``search_coords(block)`` and ``search_block(coords)``: the search chart
   (of ``actions`` and the accelerated flow), with 2-D levels in log,
   clamped on the way back to keep every power in double range.
+* ``draw``: the range of the log level of a 2-D block in random points,
+  and ``search_inside(block)``: whether a block of the search chart sits
+  inside its clamps by the margin an interior certificate needs.
 
 ``SpaceSpec`` adds the facts about the product that several modules use:
 the horn and coupled-horn indices, the first Euclidean factor and the
 chart offsets of the horn and hyperbolic level coordinates.
 
-A completion point carries one block per factor.  Horn-type blocks are
-either interior ``(theta, xi)`` pairs or the boundary marker; all other
-blocks are plain coordinate tuples.  The stratum label of a point is the
-set of horn-type factor indices whose block sits at the boundary.
+A completion point carries one block per factor.  Every interior block is
+a coordinate tuple: a horn-type one is a :class:`HornPoint`, the named
+pair ``(theta, xi)``.  The other block of a horn type is the boundary
+marker.  The stratum label of a point is the set of horn-type factor
+indices whose block sits at the boundary.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +67,10 @@ from ..errors import CurvatureUndefinedError
 #: of the unsnapped one for each snapped block of either endpoint (for
 #: ``a4 > 0`` the bound carries a factor ``sqrt(1 + a4 XI_SNAP^4)``).
 XI_SNAP = 1e-7
+
+#: Interior certificates additionally require all horn levels to sit at
+#: least this far from the snap threshold (see ``search_inside``).
+XI_ATTAIN = 10.0 * XI_SNAP
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +164,7 @@ def _wire_int(value, what: str) -> int:
 
 class _Factor:
     """JSON wire format of the factor classes without parameters, and the
-    search chart of the flat ones."""
+    search chart of the flat ones, which has no clamps."""
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -169,20 +179,21 @@ class _Factor:
     def search_block(self, coords):
         return tuple(coords)
 
+    def search_inside(self, block) -> bool:
+        return True
+
 
 class _HornKind(_Factor):
     """Block protocol of the horn kinds: interior ``(theta, xi)`` pairs,
     snapped to the boundary marker below ``XI_SNAP``."""
 
     dim = 2
+    draw = (-2.5, 0.7)
 
     def block(self, raw):
         if raw is None or isinstance(raw, BoundaryPoint):
             return BOUNDARY
-        if isinstance(raw, HornPoint):
-            theta, xi = raw.theta, raw.xi
-        else:
-            theta, xi = raw
+        theta, xi = raw
         if not (math.isfinite(theta) and math.isfinite(xi)):
             raise ValueError("horn coordinates must be finite")
         if xi < XI_SNAP:
@@ -209,6 +220,11 @@ class _HornKind(_Factor):
 
     def search_block(self, coords):
         return (coords[0], max(math.exp(min(coords[1], 30.0)), XI_SNAP))
+
+    def search_inside(self, block) -> bool:
+        """``XI_ATTAIN <= xi < e^29.5``: a factor 10 above the lower clamp
+        ``XI_SNAP``, half a unit of ``log xi`` below the upper one at 30."""
+        return XI_ATTAIN <= block.xi < math.exp(29.5)
 
 
 class _CoordKind(_Factor):
@@ -246,6 +262,7 @@ class HyperbolicPlane(_CoordKind):
 
     kind = "hyperbolic"
     dim = 2
+    draw = (-1.5, 1.5)
     profile = HyperbolicProfile()
 
     def block(self, raw):
@@ -262,6 +279,11 @@ class HyperbolicPlane(_CoordKind):
 
     def search_block(self, coords):
         return (coords[0], math.exp(min(max(coords[1], -80.0), 80.0)))
+
+    def search_inside(self, block) -> bool:
+        """``|log y| < 59``: a margin of 21 units of ``log y`` inside the
+        clamps at +-80."""
+        return abs(math.log(block[1])) < 59.0
 
 
 @dataclass(frozen=True)
@@ -422,9 +444,9 @@ class SpaceSpec:
 # points
 
 
-@dataclass(frozen=True)
-class HornPoint:
-    """Interior point of a horn-type factor."""
+class HornPoint(NamedTuple):
+    """Interior point of a horn-type factor: the coordinate pair
+    ``(theta, xi)``, with its coordinates also by name."""
 
     theta: float
     xi: float
@@ -437,7 +459,7 @@ class BoundaryPoint:
 
 BOUNDARY = BoundaryPoint()
 
-Block = HornPoint | BoundaryPoint | tuple
+Block = BoundaryPoint | tuple
 
 
 @dataclass(frozen=True)
@@ -469,8 +491,8 @@ def make_point(space: SpaceSpec, blocks) -> CompletionPoint:
     """Validate and canonicalize raw blocks into a completion point.
 
     Horn blocks with ``xi < XI_SNAP`` snap to the boundary marker; a pair
-    ``(theta, xi)``, a ``HornPoint``, a ``BoundaryPoint`` or ``None`` may
-    be given for horn blocks, plain tuples elsewhere.  Each snap changes
+    ``(theta, xi)`` (a ``HornPoint`` is one), a ``BoundaryPoint`` or
+    ``None`` may be given for horn blocks, plain tuples elsewhere.  Each snap changes
     distances from the point by less than ``2 sqrt(B) XI_SNAP`` (see
     ``XI_SNAP``).
     """
@@ -485,10 +507,7 @@ def chart_vector(space: SpaceSpec, point: CompletionPoint) -> np.ndarray:
     for block in point.blocks:
         if isinstance(block, BoundaryPoint):
             raise ValueError("chart coordinates undefined at a stratum")
-        if isinstance(block, HornPoint):
-            coords.extend((block.theta, block.xi))
-        else:
-            coords.extend(block)
+        coords.extend(block)
     return np.array(coords, dtype=float)
 
 
@@ -539,10 +558,8 @@ def point_key(point: CompletionPoint):
     for b in point.blocks:
         if isinstance(b, BoundaryPoint):
             key.append((0,))
-        elif isinstance(b, HornPoint):
-            key.append((1, b.theta, b.xi))
         else:
-            key.append((2,) + tuple(b))
+            key.append((1,) + tuple(b))
     return tuple(key)
 
 
@@ -555,11 +572,9 @@ def points_equal(a: CompletionPoint, b: CompletionPoint, tol: float = 0.0) -> bo
             if not (bx and by):
                 return False
             continue
-        cx = (x.theta, x.xi) if isinstance(x, HornPoint) else x
-        cy = (y.theta, y.xi) if isinstance(y, HornPoint) else y
-        if len(cx) != len(cy):
+        if len(x) != len(y):
             return False
-        if any(abs(u - v) > tol for u, v in zip(cx, cy)):
+        if any(abs(u - v) > tol for u, v in zip(x, y)):
             return False
     return True
 

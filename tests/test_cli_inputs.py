@@ -10,11 +10,13 @@ from hornlab.geometry import (
     HyperbolicPlane,
     PerturbedHorn,
     SpaceSpec,
+    geodesic_connect,
     make_point,
     metric_tensor,
     point_from_json,
     space_from_json,
 )
+from hornlab.paths import DiscretePath, heat_flow
 from hornlab.geometry.spaces import coupling_sum
 
 PERTURBED = {"kind": "perturbed_horn", "B": 1.0, "a4": 0.0, "b3": 0.0, "c6": 0.0}
@@ -125,3 +127,41 @@ def test_isometry_breaking_the_coupling_exits_usage(capsys):
     with pytest.raises(ValueError, match="b3 cross term"):
         isometry_from_json(COUPLED, iso)
     assert main(["classify", "--space", COUPLED_DOC, "--iso", iso]) == 3
+
+
+FLAT2_DOC = '{"factors":[{"kind":"euclidean","dim":2}]}'
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_geodesic_needs_two_samples(samples, capsys):
+    space = space_from_json(FLAT2_DOC)
+    p, q = make_point(space, [(0.0, 0.0)]), make_point(space, [(1.0, 0.0)])
+    with pytest.raises(ValueError, match="samples >= 2"):
+        geodesic_connect(space, p, q, samples=samples)
+    argv = ["geodesic", "--space", FLAT2_DOC, "--from", '{"blocks":[{"coords":[0,0]}]}',
+            "--to", '{"blocks":[{"coords":[1,0]}]}']
+    assert main(argv + ["--samples", str(samples)]) == 3
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["endpoint"] == {"blocks": [{"coords": [1.0, 0.0]}]}
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_relax_needs_one_sweep(max_iter, tmp_path, capsys):
+    space = space_from_json(FLAT2_DOC)
+    nodes = tuple(make_point(space, [(x, 0.0)]) for x in (0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="max_iter >= 1"):
+        heat_flow(DiscretePath(space, nodes), max_iter=max_iter)
+    path = tmp_path / "path.csv"
+    path.write_text("x,f0_c0,f0_c1\n0.0,0.0,0.0\n0.5,0.5,0.3\n1.0,1.0,0.0\n")
+    out = tmp_path / "out"
+    assert main(["relax", "--space", FLAT2_DOC, "--path", str(path),
+                 "--max-iter", str(max_iter), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not (out / "flow.json").exists()
+
+
+def test_experiment_takes_no_space(tmp_path):
+    assert main(["experiment", "table1", "--space", '{"factors":[{"kind":"horn"}]}',
+                 "--out", str(tmp_path / "t1")]) == 3
+    assert not (tmp_path / "t1").exists()
