@@ -1089,10 +1089,13 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
 
     Randomized box sampling (boundary-biased via the log chart) plus hill
     climbing away from the base point p0 (:func:`base_point`); a sublevel
-    reaching past ``ESCAPE_RADIUS`` counts as unbounded evidence.
+    reaching past ``ESCAPE_RADIUS`` counts as unbounded evidence.  Each
+    level M takes at most ``sample_budget`` samples.
     """
     if not generators:
         raise ValueError("at least one generator required")
+    if sample_budget < 1:
+        raise ValueError(f"sample_budget must be >= 1, got {sample_budget}")
     space = generators[0].space
     for g in generators[1:]:
         if g.space != space:
@@ -1112,9 +1115,9 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
         unbounded = False
         frontier: list[np.ndarray] = []
         levels = list(range(9))
-        per_level = max(sample_budget // (2 * len(levels)), 8)
+        per_level = max(sample_budget // (2 * len(levels)), 1)
         for j in levels:
-            for _ in range(per_level):
+            for _ in range(min(per_level, sample_budget - used)):
                 u = rng.uniform(-(2.0**j), 2.0**j, d)
                 used += 1
                 p = point_from_search(space, u)

@@ -17,12 +17,15 @@ bound term); ``PathBundle``, ``factor_distances`` (and through it
   geodesic is one monotone leg or two legs meeting there; points invert
   a leg's arclength.  Every root find of these solves (dip depth, leg
   arclength, radial arclength) is one safeguarded Newton iteration on
-  closed-form slopes, :func:`_newton_root`.  The
-  branch integrals are incomplete beta functions for pure-power profiles
-  (``Horn``, and ``PerturbedHorn`` with ``a4 = c6 = 0``); profiles with
-  ``a4`` or ``c6`` > 0, and branches starting farther from the turning
-  level than they extend, use Gauss-Legendre panels under a square-root
-  substitution.
+  closed-form slopes, :func:`_newton_root`.  A branch integral,
+  over the levels ``off`` to ``off + span`` above the turning level,
+  takes one of three routes (:func:`_branch_integral`): incomplete beta
+  functions for pure-power profiles (``Horn``, and ``PerturbedHorn``
+  with ``a4 = c6 = 0``) with ``off <= span``; one smooth Gauss-Legendre
+  panel for every profile with ``off > span``; and Gauss-Legendre panels
+  shrinking geometrically toward the turning level for ``a4`` or ``c6``
+  > 0 with ``off <= span``.  Both quadratures run under the square-root
+  substitution ``dx = off + span tau^2``.
 * b3-coupled charts: damped-Newton shooting on the initial velocity with
   a curve-shortening fallback on dyadically refined polylines, one banded
   LU solve per descent step.  Each shoot integrates the base velocity
@@ -68,6 +71,9 @@ from .tensors import metric_at_chart, metric_batch, metric_grad_batch
 # ---------------------------------------------------------------------------
 # quadrature: Gauss-Legendre panels on [0, 1] under xi = a + (b - a) tau^2
 
+SMOOTH_NODES = 24  # the one panel of a branch off its turning level
+PANEL_NODES = 48  # each geometric panel of a branch from near its turning level
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -85,20 +91,35 @@ def _level_length(h, a: float, b: float) -> float:
     return abs(b - a) * float(np.sum(ws * np.sqrt(np.maximum(h(t), 0.0))))
 
 
-def _tau_panels(width: float, span: float) -> list[float]:
-    """Panel edges in tau for the substitution dx = off + span tau^2.
+def _panel_count(width: float, span: float) -> int:
+    """Geometric panels in tau for the substitution dx = off + span tau^2.
 
     The integrand's mass sits within dx of order ``width`` of the turning
     level, so when span dwarfs width the first panels shrink geometrically
-    down to tau ~ sqrt(width / span).
+    (each a quarter of the next) down to tau ~ sqrt(width / span).
     """
     tau_w = math.sqrt(min(max(width, 1e-300) / span, 1.0))
-    edges = [1.0]
     lo = max(min(tau_w * 0.25, 1.0 / 32.0), 1e-150)
-    while edges[-1] > lo:
-        edges.append(edges[-1] * 0.25)
-    edges.append(0.0)
-    return edges[::-1]
+    panels, edge = 1, 1.0
+    while edge > lo:
+        edge *= 0.25
+        panels += 1
+    return panels
+
+
+@lru_cache(maxsize=None)
+def _tau_nodes(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``tau^2`` and the weights ``w tau`` of n-node Gauss-Legendre panels
+    on [0, 1] with edges 0, 4^-(panels - 1), ..., 1/4, 1 (read-only)."""
+    base, ws = _gl(n)
+    edges = np.array([0.0] + [0.25**k for k in range(panels - 1, -1, -1)])
+    widths = edges[1:] - edges[:-1]
+    tau = (edges[:-1, None] + widths[:, None] * base[None, :]).ravel()
+    wts = (widths[:, None] * ws[None, :]).ravel()
+    tau2, w_tau = tau * tau, wts * tau
+    for arr in (tau2, w_tau):
+        arr.setflags(write=False)
+    return tau2, w_tau
 
 
 # ---------------------------------------------------------------------------
@@ -158,50 +179,61 @@ def _pure_len(B: float, xi_star: float, off: float, span: float) -> float:
 
 
 def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
-                     kind: str, n: int = 48) -> float:
+                     kind: str) -> float:
     """Theta or length integral along the branch with angular momentum
     ``c = sqrt(f(xi_star))`` over ``xi = xi_star + dx``,
     ``dx = off + span tau^2`` with tau in (0, 1).
 
     ``off`` and ``span`` carry the distance to the turning level exactly,
     which keeps shallow dips accurate when that distance sits far below
-    the float resolution of xi_star itself.
+    the float resolution of xi_star itself.  Three routes:
 
-    Pure-power profiles (``a4 = c6 = 0``: ``Horn``, and ``PerturbedHorn``
-    with only ``B`` set) use the incomplete-beta closed form whenever
-    ``off <= span``.  Otherwise, and for every profile with ``a4`` or
-    ``c6`` > 0, the integral runs on ``n``-node Gauss-Legendre panels;
-    the square-root substitution absorbs the integrable singularity at
-    dx = 0, and for ``off > span`` the integrand is smooth while the
-    closed-form difference would cancel.
+    * closed form: pure-power profiles (``a4 = c6 = 0``: ``Horn``, and
+      ``PerturbedHorn`` with only ``B`` set) with ``off <= span`` take the
+      incomplete-beta formulas;
+    * one smooth panel: every profile with ``off > span`` takes one
+      ``SMOOTH_NODES``-node Gauss-Legendre panel.  The integrand is
+      analytic in tau on [0, 1] there: its branch point dx = 0 sits at
+      ``tau = +-i sqrt(off / span)``, at distance at least 1, while the
+      closed-form difference would cancel;
+    * geometric panels: profiles with ``a4`` or ``c6`` > 0 and
+      ``off <= span`` take ``PANEL_NODES``-node panels shrinking toward
+      the turning level (:func:`_panel_count`), where the square-root
+      substitution absorbs the integrable singularity at dx = 0.
+
+    The quadrature routes evaluate the profile only through its ``f``,
+    ``h`` and ``f_minus`` methods.
     """
     if span <= 0.0:
         return 0.0
     c = math.sqrt(prof.f(xi_star))
     if kind == "theta" and c == 0.0:
         return 0.0
-    if prof.a4 == 0.0 and prof.c6 == 0.0 and off <= span:
+    if off > span:
+        tau2, w_tau = _tau_nodes(SMOOTH_NODES, 1)
+    elif prof.a4 == 0.0 and prof.c6 == 0.0:
         if kind == "theta":
             return _pure_theta(xi_star, off, span)
         return _pure_len(prof.B, xi_star, off, span)
-    base, ws = _gl(n)
-    panels = np.asarray(_tau_panels(xi_star + off, span))
-    widths = panels[1:] - panels[:-1]
-    tau = (panels[:-1, None] + widths[:, None] * base[None, :]).ravel()
-    wts = (widths[:, None] * ws[None, :]).ravel()
+    else:
+        tau2, w_tau = _tau_nodes(PANEL_NODES, _panel_count(xi_star + off, span))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = off + span * tau**2
+        dx = off + span * tau2
         xi = xi_star + dx
-        jac = 2.0 * span * tau
+        f, h = prof.f(xi), prof.h(xi)
         root = np.sqrt(prof.f_minus(xi, xi_star, dx))
         if kind == "theta":
-            dens = c * np.sqrt(prof.h(xi)) / (np.sqrt(prof.f(xi)) * root)
+            # h / f, not f * f_minus, which underflows near the stratum
+            dens, scale = np.sqrt(h / f) / root, 2.0 * span * c
         else:
-            dens = np.sqrt(prof.h(xi) * prof.f(xi)) / root
-        term = wts * dens * jac
-        # dx underflowing to exactly 0 at subnormal spans contributes
-        # nothing; drop the resulting non-finite entries
-        return float(np.sum(np.nan_to_num(term, nan=0.0, posinf=0.0)))
+            dens, scale = np.sqrt(h * f) / root, 2.0 * span
+        total = float(w_tau @ dens)
+        if not math.isfinite(total):
+            # dx underflowing to exactly 0 at subnormal spans contributes
+            # nothing; sum the finite terms
+            keep = np.isfinite(dens)
+            total = float(w_tau[keep] @ dens[keep])
+    return scale * total
 
 
 def _pure_theta_slope(xi_star: float, off: float, span: float, theta: float) -> float:

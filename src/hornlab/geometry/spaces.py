@@ -86,9 +86,10 @@ class WarpProfile:
         self.c6 = float(c6)
 
     def f(self, xi):
+        x6 = xi**6
         if self.c6 == 0.0:
-            return self.B * xi**6
-        return self.B * xi**6 * (1.0 + self.c6 * xi**6)
+            return self.B * x6
+        return self.B * x6 * (1.0 + self.c6 * x6)
 
     def fp(self, xi):
         if self.c6 == 0.0:
@@ -116,9 +117,13 @@ class WarpProfile:
         """
         if dx is None:
             dx = xi - xi0
-        p6 = xi**5 + xi**4 * xi0 + xi**3 * xi0**2 + xi**2 * xi0**3 + xi * xi0**4 + xi0**5
-        base = dx * p6
-        return self.B * base * (1.0 + self.c6 * (xi**6 + xi0**6))
+        x2 = xi0 * xi0
+        # xi^5 + xi^4 xi0 + ... + xi0^5 in Horner form
+        p6 = ((((xi + xi0) * xi + x2) * xi + x2 * xi0) * xi + x2 * x2) * xi + x2 * x2 * xi0
+        base = self.B * (dx * p6)
+        if self.c6 == 0.0:
+            return base
+        return base * (1.0 + self.c6 * (xi**6 + xi0**6))
 
     def curvature(self, xi):
         f, fp, fpp = self.f(xi), self.fp(xi), self.fpp(xi)

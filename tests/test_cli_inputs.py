@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hornlab.actions import isometry_from_json
+from hornlab.actions import isometry_from_json, properness_probe
 from hornlab.cli import main
 from hornlab.geometry import (
     Euclidean,
@@ -165,3 +165,24 @@ def test_experiment_takes_no_space(tmp_path):
     assert main(["experiment", "table1", "--space", '{"factors":[{"kind":"horn"}]}',
                  "--out", str(tmp_path / "t1")]) == 3
     assert not (tmp_path / "t1").exists()
+
+
+HYP_DOC = '{"factors":[{"kind":"hyperbolic"}]}'
+Z4_DOC = '{"factor_actions":[{"kind":"mobius","m":[[2,0],[0,0.5]]}]}'
+PROPER_ARGV = ["proper", "--space", HYP_DOC, "--isos", f"[{Z4_DOC}]", "--mgrid", "2"]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_proper_needs_one_sample(budget, capsys):
+    z4 = isometry_from_json(space_from_json(HYP_DOC), Z4_DOC)
+    with pytest.raises(ValueError, match="sample_budget must be >= 1"):
+        properness_probe([z4], [2.0], budget)
+    assert main(PROPER_ARGV + ["--budget", str(budget)]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("budget", [1, 5, 17, 40])
+def test_proper_stays_within_budget(budget, capsys):
+    assert main(PROPER_ARGV + ["--budget", str(budget)]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert 1 <= entry["samples"] <= budget

@@ -108,28 +108,35 @@ def test_connect_requires_distinct_endpoints():
 # cross-validation: independent integration of the geodesic equation
 
 
-def test_connect_agrees_with_shooting():
-    rng = np.random.default_rng(3)
-    for _ in range(12):
-        p = random_point(HORN, rng)
-        q = random_point(HORN, rng)
-        seg = geodesic_connect(HORN, p, q)
-        shot = geodesic_shoot(HORN, p, seg.velocity, seg.length, atol=1e-12)
-        end = chart_vector(HORN, shot.end)
-        want = chart_vector(HORN, q)
+def assert_connect_agrees_with_shooting(space, seed, count):
+    """Shoot each connecting geodesic's initial velocity over its length
+    and compare the end with the target point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = random_point(space, rng)
+        q = random_point(space, rng)
+        seg = geodesic_connect(space, p, q)
+        shot = geodesic_shoot(space, p, seg.velocity, seg.length, atol=1e-12)
+        end = chart_vector(space, shot.end)
+        want = chart_vector(space, q)
         assert np.linalg.norm(end - want) <= 1e-7 * (1 + np.linalg.norm(want))
+
+
+def test_connect_agrees_with_shooting():
+    assert_connect_agrees_with_shooting(HORN, 3, 12)
+
+
+PERTURBED = (PerturbedHorn(B=2.0, a4=0.1, c6=0.05),)  # the `queries` perturbed factor
+HORN_H2 = (Horn(), HyperbolicPlane())
+
+
+@pytest.mark.parametrize("factors", [PERTURBED, HORN_H2])
+def test_product_and_perturbed_connect_agree_with_shooting(factors):
+    assert_connect_agrees_with_shooting(SpaceSpec(factors), 3, 12)
 
 
 def test_hyperbolic_connect_agrees_with_shooting():
-    rng = np.random.default_rng(4)
-    for _ in range(8):
-        p = random_point(HYP, rng)
-        q = random_point(HYP, rng)
-        seg = geodesic_connect(HYP, p, q)
-        shot = geodesic_shoot(HYP, p, seg.velocity, seg.length, atol=1e-12)
-        end = chart_vector(HYP, shot.end)
-        want = chart_vector(HYP, q)
-        assert np.linalg.norm(end - want) <= 1e-7 * (1 + np.linalg.norm(want))
+    assert_connect_agrees_with_shooting(HYP, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,8 @@ def test_hyperbolic_connect_agrees_with_shooting():
     (HyperbolicPlane(),),
     (Euclidean(2),),
     (Horn(), Euclidean(1)),
+    PERTURBED,
+    HORN_H2,
 ])
 def test_symmetry_and_triangle(factors):
     space = SpaceSpec(factors)
@@ -156,6 +165,8 @@ def test_symmetry_and_triangle(factors):
     (Horn(),),
     (HyperbolicPlane(),),
     (Horn(), Euclidean(1)),
+    PERTURBED,
+    HORN_H2,
 ])
 def test_midpoint_bisects_and_npc_inequality(factors):
     space = SpaceSpec(factors)

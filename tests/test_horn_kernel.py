@@ -1,11 +1,20 @@
 """The horn branch-integral kernel against an independent mpmath oracle.
 
-For the pure-power profile ``f = B xi^6``, ``h = 4B`` the branch integrals
-are incomplete beta functions; profiles with ``a4`` or ``c6`` > 0 and
-branches with ``off > span`` run on Gauss-Legendre panels.  Both routes
-are checked here against a 40-digit tanh-sinh quadrature of the defining
-integrals, with ``f(xi) - f(xi*)`` factored as ``dx p6`` so that shallow
-dips do not cancel.
+The kernel takes one of three routes (see ``connect._branch_integral``):
+
+* closed form: for the pure-power profile ``f = B xi^6``, ``h = 4B`` and
+  branches with ``off <= span`` the integrals are incomplete beta
+  functions;
+* one smooth panel: every profile with ``off > span``, where the
+  integrand is analytic on the whole panel, takes one Gauss-Legendre
+  panel;
+* geometric panels: profiles with ``a4`` or ``c6`` > 0 and
+  ``off <= span`` take Gauss-Legendre panels shrinking toward the turning
+  level.
+
+All three are checked here against a 40-digit tanh-sinh quadrature of the
+defining integrals, with ``f(xi) - f(xi*)`` factored as ``dx p6`` so that
+shallow dips do not cancel.
 """
 
 import math
@@ -92,6 +101,29 @@ def test_quadrature_kernel_matches_mpmath(a4, c6):
             got = _branch_integral(prof, xi_star, off, span, kind)
             want = oracle(1.5, xi_star, off, span, kind, a4=a4, c6=c6)
             assert rel_err(got, want) <= 1e-12, (kind, xi_star, off, span)
+
+
+PROFILES = {"pure": (2.0, 0.0, 0.0), "a4": (2.0, 0.1, 0.0), "c6": (2.0, 0.0, 0.05),
+            "a4+c6": (1.5, 0.4, 0.2)}
+#: (turning level, top level) pairs, from near the stratum up to about 10
+LEVEL_PAIRS = [(XI_SNAP, 1e-3), (1e-3, 1e-3 * (1.0 + 1e-6)), (1e-3, 0.5), (0.3128, 0.32),
+               (0.3128, 3.0), (1.0, 10.0), (2.0, 2.5), (5.0, 10.0)]
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-7, 1.5, 3.0, 10.0, 1e3])  # off / span
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_smooth_panel_matches_mpmath(name, ratio):
+    B, a4, c6 = PROFILES[name]
+    prof = WarpProfile(B=B, a4=a4, c6=c6)
+    rel = REL if name == "pure" else 1e-12
+    for xi_star, top in LEVEL_PAIRS:
+        span = (top - xi_star) / (1.0 + ratio)
+        off = ratio * span
+        assert off > span
+        for kind in ("theta", "len"):
+            got = _branch_integral(prof, xi_star, off, span, kind)
+            want = oracle(B, xi_star, off, span, kind, a4=a4, c6=c6)
+            assert rel_err(got, want) <= rel, (kind, xi_star, off, span)
 
 
 @pytest.mark.parametrize("span", [5e-324, 1e-310, 1e-300])
