@@ -995,6 +995,10 @@ class DivergenceReport:
     strictly_increasing_from: float | None
     center_distance: float
 
+    def csv_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and rows of the divergence CSV, one row per R."""
+        return ["R", "m"], list(zip(self.R_grid, self.m_values))
+
 
 def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
                        *, grid_points: int = 65) -> DivergenceReport:
@@ -1004,6 +1008,8 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
     so the profile starts at the minimum gap; the properness proxy is
     m(R) strictly increasing beyond some R0.
     """
+    if not all(math.isfinite(R) and R >= 0 for R in R_grid):
+        raise ValueError(f"R_grid needs finite R >= 0, got {list(R_grid)}")
     space = axis1.path.space
     L1, L2 = axis1.period_length, axis2.period_length
 
@@ -1078,6 +1084,11 @@ class SublevelEstimate:
 class PropernessReport:
     entries: list[SublevelEstimate]
 
+    def csv_table(self) -> tuple[list[str], list[tuple]]:
+        """Header and rows of ``properness.csv``, one row per level M."""
+        return (["M", "radius", "unbounded", "samples"],
+                [(e.M, e.radius, int(e.unbounded_evidence), e.samples) for e in self.entries])
+
 
 #: A sublevel reaching this far from the base point counts as unbounded.
 ESCAPE_RADIUS = 64.0
@@ -1096,6 +1107,8 @@ def properness_probe(generators: list[Isometry], M_grid, sample_budget: int = 30
         raise ValueError("at least one generator required")
     if sample_budget < 1:
         raise ValueError(f"sample_budget must be >= 1, got {sample_budget}")
+    if not all(math.isfinite(M) for M in M_grid):
+        raise ValueError(f"M_grid needs finite levels, got {list(M_grid)}")
     space = generators[0].space
     for g in generators[1:]:
         if g.space != space:

@@ -36,7 +36,9 @@ from .errors import BasinError, FlowBudgetError, HornlabError
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    json_text,
     run_experiment,
+    write_files,
 )
 from .geometry import (
     SpaceSpec,
@@ -75,18 +77,10 @@ def _load_space(value: str) -> SpaceSpec:
     return space_from_json(_load_json_arg(value))
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit(doc: dict, out: Path | None, name: str) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out is not None:
-        (out / name).write_text(text)
+def _emit(args, name: str, text: str, tables: dict[str, str] | None = None) -> None:
+    """Print ``text``; under ``--out`` also write it as ``name``, beside ``tables``."""
+    if args.out is not None:
+        write_files(args.out, {**(tables or {}), name: text})
     sys.stdout.write(text)
 
 
@@ -94,14 +88,13 @@ def cmd_tensor(args) -> int:
     space = _load_space(args.space)
     point = point_from_json(space, _load_json_arg(args.point))
     g = metric_tensor(space, point)
-    _emit({"metric": [[float(v) for v in row] for row in g]}, _out_dir(args), "tensor.json")
+    _emit(args, "tensor.json", json_text({"metric": [[float(v) for v in row] for row in g]}))
     return PASS
 
 
 def cmd_geodesic(args) -> int:
     space = _load_space(args.space)
     p = point_from_json(space, _load_json_arg(getattr(args, "from")))
-    out = _out_dir(args)
     if args.velocity is not None:
         vel = tangent_from_chart(space, json.loads(args.velocity))
         seg = geodesic_shoot(space, p, vel, args.length)
@@ -110,13 +103,11 @@ def cmd_geodesic(args) -> int:
             raise HornlabError("geodesic needs --to or --velocity/--length")
         q = point_from_json(space, _load_json_arg(args.to))
         seg = geodesic_connect(space, p, q, samples=args.samples)
-    if out is not None:
-        (out / "segment.csv").write_text(samples_to_csv(space, seg.samples))
-    _emit({
+    _emit(args, "geodesic.json", json_text({
         "length": seg.length,
         "hit_stratum": seg.hit_stratum,
         "endpoint": point_to_json(seg.end),
-    }, out, "geodesic.json")
+    }), {"segment.csv": samples_to_csv(space, seg.samples)})
     return PASS
 
 
@@ -124,7 +115,7 @@ def cmd_distance(args) -> int:
     space = _load_space(args.space)
     p = point_from_json(space, _load_json_arg(getattr(args, "from")))
     q = point_from_json(space, _load_json_arg(args.to))
-    _emit({"distance": distance(space, p, q)}, _out_dir(args), "distance.json")
+    _emit(args, "distance.json", json_text({"distance": distance(space, p, q)}))
     return PASS
 
 
@@ -135,11 +126,8 @@ def cmd_relax(args) -> int:
         iso = isometry_from_json(space, _load_json_arg(args.iso))
     path = path_from_csv(space, Path(args.path).read_text(), periodic_shift=iso)
     flowed, report = heat_flow(path, max_iter=args.max_iter, tol=args.tol)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "flowed.csv").write_text(path_to_csv(flowed))
-        (out / "flow.json").write_text(flow_report_json(report) + "\n")
-    sys.stdout.write(flow_report_json(report) + "\n")
+    _emit(args, "flow.json", flow_report_json(report) + "\n",
+          {"flowed.csv": path_to_csv(flowed)})
     return PASS if not report.escaped else INCONCLUSIVE
 
 
@@ -153,10 +141,8 @@ def cmd_axis(args) -> int:
     except (BasinError, FlowBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INCONCLUSIVE
-    out = _out_dir(args)
-    if out is not None:
-        (out / "axis.csv").write_text(path_to_csv(ax.path))
-    _emit({"period_length": ax.period_length}, out, "axis.json")
+    _emit(args, "axis.json", json_text({"period_length": ax.period_length}),
+          {"axis.csv": path_to_csv(ax.path)})
     return PASS
 
 
@@ -164,7 +150,7 @@ def cmd_classify(args) -> int:
     space = _load_space(args.space)
     iso = isometry_from_json(space, _load_json_arg(args.iso))
     res = classify(iso, SearchBudget(seed=args.seed))
-    _emit(res.to_json(), _out_dir(args), "classification.json")
+    _emit(args, "classification.json", json_text(res.to_json()))
     return PASS if res.status == "ok" else INCONCLUSIVE
 
 
@@ -181,13 +167,10 @@ def cmd_diverge(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return INCONCLUSIVE
     prof = divergence_profile(ax1, ax2, r_grid)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "divergence.csv").write_text(
-            csv_text(["R", "m"], zip(prof.R_grid, prof.m_values)))
-    _emit({"R": prof.R_grid, "m": prof.m_values,
-           "strictly_increasing_from": prof.strictly_increasing_from}, out,
-          "divergence.json")
+    _emit(args, "divergence.json",
+          json_text({"R": prof.R_grid, "m": prof.m_values,
+                     "strictly_increasing_from": prof.strictly_increasing_from}),
+          {"divergence.csv": csv_text(*prof.csv_table())})
     return PASS
 
 
@@ -196,14 +179,11 @@ def cmd_proper(args) -> int:
     isos = [isometry_from_json(space, doc) for doc in _load_json_arg(args.isos)]
     m_grid = [float(v) for v in args.mgrid.split(",")]
     rep = properness_probe(isos, m_grid, args.budget, seed=args.seed)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "properness.csv").write_text(csv_text(
-            ["M", "radius", "unbounded", "samples"],
-            [(e.M, e.radius, int(e.unbounded_evidence), e.samples) for e in rep.entries]))
-    _emit({"entries": [{"M": e.M, "radius": e.radius,
-                        "unbounded": e.unbounded_evidence, "samples": e.samples}
-                       for e in rep.entries]}, out, "properness.json")
+    _emit(args, "properness.json",
+          json_text({"entries": [{"M": e.M, "radius": e.radius,
+                                  "unbounded": e.unbounded_evidence, "samples": e.samples}
+                                 for e in rep.entries]}),
+          {"properness.csv": csv_text(*rep.csv_table())})
     return PASS
 
 
@@ -235,28 +215,20 @@ def cmd_masur(args) -> int:
         for i, j in pairs:
             columns[f"pairing_{i.value}_{j.value}"].append(
                 cometric_pairing(i, j, t, spec))
-    fits = {}
-    for key, vals in columns.items():
-        fits[key] = scaling_fit(ts, vals).to_json()
-    out = _out_dir(args)
-    if out is not None:
-        header = ["t"] + list(columns)
-        rows = [tuple([float(t)] + [columns[k][i] for k in columns])
-                for i, t in enumerate(ts)]
-        (out / "pairings.csv").write_text(csv_text(header, rows))
-    _emit({"fits": fits}, out, "scaling.json")
+    fits = {key: scaling_fit(ts, vals).to_json() for key, vals in columns.items()}
+    _emit(args, "scaling.json", json_text({"fits": fits}),
+          {"pairings.csv": csv_text(["t", *columns], zip(map(float, ts), *columns.values()))})
     return PASS
 
 
 def cmd_expansion(args) -> int:
     s_values = [float(v) for v in args.svalues.split(",")]
     rep = substitution_check([math.exp(-s) for s in s_values], n_r=args.n_r)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "expansion.csv").write_text(csv_text(*rep.csv_table()))
-    _emit({"xi": rep.xi, "ratio_xixi": rep.ratio_xixi,
-           "ratio_thth": rep.ratio_thth, "rate_xixi": rep.rate_xixi,
-           "rate_thth": rep.rate_thth}, out, "expansion.json")
+    _emit(args, "expansion.json",
+          json_text({"xi": rep.xi, "ratio_xixi": rep.ratio_xixi,
+                     "ratio_thth": rep.ratio_thth, "rate_xixi": rep.rate_xixi,
+                     "rate_thth": rep.rate_thth}),
+          {"expansion.csv": csv_text(*rep.csv_table())})
     return PASS
 
 
@@ -268,7 +240,7 @@ def cmd_experiment(args) -> int:
         name=args.name, parameters=params, seed=args.seed, out_dir=args.out,
     )
     report = run_experiment(config)
-    sys.stdout.write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_text(report.to_json()))
     sys.stdout.write(f"# runtime: {report.runtime:.3f}s\n")
     if report.inconclusive:
         return INCONCLUSIVE

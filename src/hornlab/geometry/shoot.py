@@ -267,8 +267,8 @@ def geodesic_shoot(
     """
     if point.stratum():
         raise ValueError("cannot shoot from a stratum point")
-    if arclength <= 0:
-        raise ValueError("arclength must be positive")
+    if not (math.isfinite(arclength) and arclength > 0):
+        raise ValueError(f"arclength must be positive and finite, got {arclength}")
     x = chart_vector(space, point)
     v = tangent_chart_vector(space, velocity)
     sp0 = speed_at(space, x, v)

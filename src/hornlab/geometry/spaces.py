@@ -544,6 +544,8 @@ def point_from_search(space: SpaceSpec, u) -> CompletionPoint:
 
 def tangent_from_chart(space: SpaceSpec, vec) -> TangentVector:
     vec = np.asarray(vec, dtype=float)
+    if vec.shape != (space.dim,):
+        raise ValueError(f"chart velocity must have length {space.dim}")
     blocks = [tuple(vec[sl]) for sl in space.chart_slices()]
     return TangentVector(tuple(blocks))
 

@@ -203,10 +203,13 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
     stopping test allows (:func:`_level_resolution`): segments next to a
     stratum shrink like xi^3, the sweeps then stall at rounding level and
     could only stop on a float fixed point.  ``on_iterate`` is called
-    with the node list after every sweep.  ``max_iter`` is at least 1.
+    with the node list after every sweep.  ``max_iter`` is at least 1,
+    and ``tol`` finite and positive.
     """
     if max_iter < 1:
         raise ValueError(f"heat_flow needs max_iter >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"heat_flow needs a finite tol > 0, got {tol}")
     space = path.space
     gamma = path.periodic_shift
     nodes = list(path.nodes)

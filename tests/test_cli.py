@@ -4,9 +4,11 @@ import math
 import pytest
 
 import hornlab.cli as cli_mod
+import hornlab.experiments as experiments_mod
 from hornlab.actions import DivergenceReport
 from hornlab.cli import main
-from hornlab.errors import BasinError, FlowBudgetError
+from hornlab.errors import BasinError, ConnectError, FlowBudgetError
+from hornlab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 
 HORN_SPACE = '{"factors":[{"kind":"horn"}]}'
 HYP_SPACE = '{"factors":[{"kind":"hyperbolic"}]}'
@@ -131,6 +133,30 @@ def test_experiment_runner(tmp_path, capsys):
     assert rep["passed"] is True
     assert "runtime" not in rep  # byte-deterministic artifact
     assert (tmp_path / "c" / "corners_samples.csv").exists()
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_report_lists_the_files_beside_it(name, tmp_path):
+    report = run_experiment(ExperimentConfig(name, out_dir=str(tmp_path)))
+    listed = json.loads((tmp_path / "report.json").read_text())["artifacts"]
+    assert listed and listed == sorted(report.artifacts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(listed + ["report.json"])
+
+
+def test_report_lists_no_files_without_out_dir():
+    assert run_experiment(ExperimentConfig("interior")).artifacts == []
+
+
+def test_solver_failure_writes_the_report_alone(monkeypatch, tmp_path):
+    def give_up(config):
+        raise ConnectError("gave up")
+
+    monkeypatch.setattr(experiments_mod, "run_corners", give_up)
+    report = run_experiment(ExperimentConfig("corners", out_dir=str(tmp_path)))
+    assert report.inconclusive and report.artifacts == []
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["assertions"][0]["measured"] == "gave up"
 
 
 @pytest.mark.parametrize("iso", [

@@ -186,3 +186,38 @@ def test_proper_stays_within_budget(budget, capsys):
     assert main(PROPER_ARGV + ["--budget", str(budget)]) == 0
     (entry,) = json.loads(capsys.readouterr().out)["entries"]
     assert 1 <= entry["samples"] <= budget
+
+
+H2_PATH_CSV = "x,f0_c0,f0_c1\n0.0,0.0,1.0\n0.5,0.3,1.5\n1.0,1.0,1.0\n"
+H2_POINT = '{"blocks":[{"coords":[0.0,1.0]}]}'
+Z2_DOC = '{"factor_actions":[{"kind":"mobius","m":[[5,3],[3,2]]}]}'
+AXIS_ARGV = ["axis", "--space", HYP_DOC, "--iso", Z4_DOC, "--base", H2_POINT]
+SHOOT_ARGV = ["geodesic", "--space", HYP_DOC, "--from", H2_POINT]
+DIVERGE_ARGV = ["diverge", "--space", HYP_DOC, "--iso", Z4_DOC, "--iso2", Z2_DOC,
+                "--base", '{"blocks":[{"coords":[0.05,1.0]}]}', "--nodes", "4"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relax", "--space", HYP_DOC, "--path", "PATH", "--tol", "nan"], "finite tol > 0"),
+    (["relax", "--space", HYP_DOC, "--path", "PATH", "--tol", "0"], "finite tol > 0"),
+    (AXIS_ARGV + ["--tol", "nan"], "finite tol > 0"),
+    (AXIS_ARGV + ["--tol", "-1"], "finite tol > 0"),
+    (DIVERGE_ARGV + ["--tol", "inf"], "finite tol > 0"),
+    (SHOOT_ARGV + ["--velocity", "[1,0]", "--length", "nan"], "positive and finite"),
+    (SHOOT_ARGV + ["--velocity", "[1,0]", "--length", "inf"], "positive and finite"),
+    (SHOOT_ARGV + ["--velocity", "[1,0,0]"], "must have length 2"),
+    (PROPER_ARGV[:-1] + ["nan"], "finite levels"),
+    (PROPER_ARGV[:-1] + ["inf"], "finite levels"),
+    (DIVERGE_ARGV + ["--rgrid", "-3"], "finite R >= 0"),
+    (DIVERGE_ARGV + ["--rgrid", "2,nan"], "finite R >= 0"),
+], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
+def test_malformed_numeric_inputs_exit_usage(argv, message, tmp_path, capsys):
+    path = tmp_path / "path.csv"
+    path.write_text(H2_PATH_CSV)
+    out = tmp_path / "out"
+    argv = [str(path) if a == "PATH" else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert not out.exists()

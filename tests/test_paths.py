@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hornlab.actions import HornAction, Isometry, MobiusAction
+from hornlab.experiments import ExperimentConfig, run_experiment
 from hornlab.geometry import (
     Euclidean,
     Horn,
@@ -177,3 +178,15 @@ def test_csv_header_mismatch():
     text = path_to_csv(path)
     with pytest.raises(ValueError):
         path_from_csv(HORN, text)
+
+
+@pytest.mark.parametrize("name, space, nodes", [
+    ("interior", SpaceSpec((Horn(), Euclidean(1))), 33),
+    ("corners", SpaceSpec((Horn(), Horn())), 65),
+])
+def test_experiment_sample_tables_read_back_as_paths(name, space, nodes, tmp_path):
+    """The experiments write their geodesic samples in the path layout."""
+    run_experiment(ExperimentConfig(name, out_dir=str(tmp_path)))
+    path = path_from_csv(space, (tmp_path / f"{name}_samples.csv").read_text())
+    assert len(path.nodes) == nodes
+    assert path.nodes[0].stratum()  # both start on a stratum
