@@ -12,11 +12,12 @@ through the midpoint flow, and the divergence / properness probes.
 
 Classification is by the sign of the translation length estimate and
 whether the infimum is attained: an interior certified minimizer gives
-the semisimple column, an escaping minimizing sequence (horn coordinate
-collapsing, or coordinates running off every box while the displacement
-decreases) gives the non-semisimple one.  A search that can do neither
-reports inconclusive rather than guessing a cell; every result records
-the phase that decided and the evaluations each phase spent.
+the semisimple column, an escaping minimizing sequence the other.  Rays
+find escapes by one rule: the displacement never rises while the distance
+on the factors a ray drives closes up (every horn for a collapse ray, the
+owner of its coordinate for a ray to infinity).  A search that can do
+neither reports inconclusive rather than guessing a cell; every result
+records the phase that decided and the evaluations each phase spent.
 
 The search minimizes one objective per isometry on the search chart:
 each chart point goes to its validated blocks (``search_blocks``) and
@@ -442,11 +443,12 @@ class _Objective:
         self.evals[self.phase] += 1
         return distance(self.space, *self.pair(u))
 
-    def horn_part(self, u: np.ndarray) -> float:
-        """Largest horn-factor distance of the pair at ``u``; 0 on a
-        b3-coupled chart, which has no per-factor distances."""
-        parts = factor_distances(self.space, *self.pair(u))
-        return 0.0 if parts is None else max(parts[i] for i in self.space.horn_indices)
+    def part(self, u: np.ndarray, ids) -> float:
+        """Largest distance over the factors ``ids`` of the pair at ``u``, not
+        an evaluation; the whole displacement on a b3-coupled chart."""
+        p, q = self.pair(u)
+        parts = factor_distances(self.space, p, q)
+        return distance(self.space, p, q) if parts is None else max(parts[i] for i in ids)
 
 
 def _interiority(space: SpaceSpec, u: np.ndarray) -> float:
@@ -599,33 +601,36 @@ def _polish(F, u0: np.ndarray) -> tuple[float, np.ndarray]:
     return val, u
 
 
-def _descend(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: float):
-    """Ray from ``u`` whose step k adds ``steps[k]`` to ``u[slots]``.
-
-    None as soon as ``F`` rises by more than ``1e-12 (1 + |ref|)`` over the
-    previous value (``val`` before the first step), else ``(points of the
-    last four steps, every step's displacement, whether any step strictly
-    decreased, last u)``; an :class:`EscapeWitness` keeps only four points.
+def _ray(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: float, ids):
+    """Escape hit of the ray from ``u`` whose step k adds ``steps[k]`` to
+    ``u[slots]``: ``(points of the last four steps, every step's
+    displacement)``, or None.  A hit needs ``F`` never to rise by more than
+    ``1e-12 (1 + |ref|)`` over the previous value (``val`` first), and the
+    largest distance over the factors ``ids`` the ray drives to fall from a
+    positive start to at most 1e-3 of it: the total alone can sit flat.
     """
+    start = F.part(u, ids)
+    if start <= 0.0:
+        return None
     tol_up = 1e-12 * (1.0 + abs(ref))
-    us, vals, strict = [], [], False
+    us, vals = [], []
     for dx in steps:
         u = u.copy()
         u[slots] += dx
         v = F(u)
         if v > val + tol_up:
             return None
-        strict = strict or v < val
         val = v
         us.append(u)
         vals.append(v)
-    return [point_from_search(space, w) for w in us[-4:]], vals, strict, u
+    if F.part(u, ids) > 1e-3 * start:
+        return None
+    return [point_from_search(space, w) for w in us[-4:]], vals
 
 
 def _escape_witness(hits, horns) -> EscapeWitness | None:
-    """Last four entries of the ``(points, displacements)`` hit ending
-    lowest (the first on ties), or None; no ``horns`` means an escape to
-    infinity."""
+    """Last four entries of the first lowest-ending ``(points, displacements)``
+    hit (misses are None), or None; no ``horns`` means an escape to infinity."""
     hits = [h for h in hits if h is not None]
     if not hits:
         return None
@@ -660,12 +665,12 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     A Gauss-Newton fixed-point search settles the periodic cell exactly.
     Otherwise multi-start Nelder-Mead (:func:`_nelder_mead`) over
     expanding boxes in the transformed chart produces candidates; collapse
-    rays (driving every horn coordinate down while watching the per-factor
-    distances, since the total can sit flat at double precision when
-    another factor dominates) and coordinate rays to infinity look for
-    escaping minimizing sequences, and a trust-region no-improvement
-    certificate backs any attainment claim.  Every phase evaluates one
-    objective, :class:`_Objective`, made once for the isometry.  Returns
+    rays (every horn level down, watching the largest horn-factor
+    distance) and rays to infinity (one chart coordinate out, watching the
+    factor that owns it) look for escaping minimizing sequences by one
+    rule, :func:`_ray`, and a trust-region no-improvement certificate backs
+    any attainment claim.  Every phase evaluates one objective,
+    :class:`_Objective`, made once for the isometry.  Returns
     status "inconclusive" when neither a certificate nor escape evidence
     materializes in budget.  The result records the phase that decided
     and the evaluations each phase spent.
@@ -723,8 +728,9 @@ def _search(iso: Isometry, F: _Objective, rng: np.random.Generator):
 
     horn_log_slots = list(space.xi_offsets)  # the opt chart keeps the chart layout
 
-    # collapse rays drive every horn coordinate down; evidence needs the
-    # total to never increase while the horn contribution collapses
+    # collapse rays, then rays to infinity, each judged by _ray's one rule
+    ref = min(best_val, int_val)
+    bound = ref + 1e-12 * (1.0 + abs(ref))  # an escape must end at or below this
     F.phase = "collapse"
     sources = [(best_u, best_val)]
     if int_u is not None and not np.array_equal(int_u, best_u):
@@ -732,38 +738,31 @@ def _search(iso: Isometry, F: _Objective, rng: np.random.Generator):
     hits = []
     for u_src, v_src in sources if horn_log_slots else ():
         u = search_vector(space, point_from_search(space, u_src))  # canonical through clamps
-        h0 = F.horn_part(u)
-        if h0 <= 0.0:
-            continue
-        walk = _descend(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), v_src)
-        if walk is not None and F.horn_part(walk[3]) <= 1e-3 * h0:
-            hits.append(walk[:2])
+        hits.append(_ray(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), v_src,
+                         space.horn_indices))
     escape = _escape_witness(hits, space.horn_indices)
-    ref = min(best_val, int_val)
-    if escape is not None and escape.displacements[-1] <= ref + 1e-12 * (1.0 + abs(ref)):
+    if escape is not None and escape.displacements[-1] <= bound:
         return min(best_val, escape.displacements[-1]), escape, "collapse-ray"
 
     if int_u is None:
         # every competitive candidate hugs a search clamp
         best_point = point_from_search(space, best_u)
-        at_floor = any(
-            isinstance(b, HornPoint) and b.xi < XI_ATTAIN for b in best_point.blocks
-        )
+        at_floor = any(isinstance(b, HornPoint) and b.xi < XI_ATTAIN
+                       for b in best_point.blocks)
         return best_val, _escape_witness([([best_point], [best_val])],
                                          space.horn_indices if at_floor else ()), "clamp"
 
     # rays to infinity: every direction except driving a horn level down,
-    # which the collapse rays own
+    # which the collapse rays own; each watches the factor owning its slot
     F.phase = "infinity"
+    owner = [i for i, f in enumerate(space.factors) for _ in range(f.dim)]
     hits = []
     for slot in range(d):
         for sgn in (1.0,) if slot in horn_log_slots else (1.0, -1.0):
             steps = [sgn * 2.0 ** (k / 2.0) for k in range(1, GROWTH_STEPS + 1)]
-            walk = _descend(F, space, int_u, slot, steps, int_val, int_val)
-            if walk is not None and walk[2]:
-                hits.append(walk[:2])
+            hits.append(_ray(F, space, int_u, slot, steps, int_val, int_val, (owner[slot],)))
     escape = _escape_witness(hits, ())
-    if escape is not None and escape.displacements[-1] < max(0.5 * int_val, int_val - 1e-10):
+    if escape is not None and escape.displacements[-1] <= bound:
         return min(best_val, escape.displacements[-1]), escape, "infinity-ray"
 
     F.phase = "certificate"

@@ -205,16 +205,15 @@ def _pair_model(name: str) -> DifferentialModel:
 
 def cmd_masur(args) -> int:
     ts = list(np.geomspace(args.tmax, args.tmin, args.num))
-    pairs = []
+    pairs = {}  # column -> models, each column once, in first-seen order
     for token in args.pairs.split(";"):
-        i_name, j_name = token.split(",")
-        pairs.append((_pair_model(i_name), _pair_model(j_name)))
-    columns = {f"pairing_{i.value}_{j.value}": [] for i, j in pairs}
+        i, j = map(_pair_model, token.split(","))
+        pairs[f"pairing_{i.value}_{j.value}"] = (i, j)
+    columns = {key: [] for key in pairs}
     for t in ts:
         spec = AnnulusSpec(t=t, n_r=args.n_r, n_phi=args.n_phi)
-        for i, j in pairs:
-            columns[f"pairing_{i.value}_{j.value}"].append(
-                cometric_pairing(i, j, t, spec))
+        for key, (i, j) in pairs.items():
+            columns[key].append(cometric_pairing(i, j, t, spec))
     fits = {key: scaling_fit(ts, vals).to_json() for key, vals in columns.items()}
     _emit(args, "scaling.json", json_text({"fits": fits}),
           {"pairings.csv": csv_text(["t", *columns], zip(map(float, ts), *columns.values()))})

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 import hornlab.actions as actions_mod
 from hornlab.actions import (
+    PERIODIC,
+    PSEUDO_ANOSOV,
+    REDUCIBLE,
+    STRICTLY_PSEUDOPERIODIC,
     Axis,
+    EscapeWitness,
     EuclideanAction,
     HornAction,
     Isometry,
     MobiusAction,
-    PERIODIC,
     axis,
     classify,
     displacement,
@@ -459,16 +463,72 @@ def test_certificate_probe_stops_at_first_improvement():
         lambda v: 1.0, u, 1.0, np.random.default_rng(0)) is None
 
 
-def test_descending_ray_contract():
-    def F(u):  # rising steps end the ray, flat and falling ones do not
+class _RayObjective:
+    """Displacement |u0|; the watched factor distance reads ``start`` at
+    the ray's origin and ``end`` after its last step."""
+
+    def __init__(self, start=1.0, end=1e-3):
+        self.start, self.end = start, end
+        self.calls, self.parts = 0, 0
+
+    def __call__(self, u):
+        self.calls += 1
         return abs(float(u[0]))
 
+    def part(self, u, ids):
+        assert ids == (0,)
+        self.parts += 1
+        return self.start if self.parts == 1 else self.end
+
+
+def test_ray_contract():
+    ray = actions_mod._ray
     start = np.array([3.0, 0.5])
-    pts, vals, strict, last = actions_mod._descend(
-        F, EU2, start, 0, [-1.0, -1.0, 0.0], 3.0, 3.0)
-    assert vals == [2.0, 1.0, 1.0] and strict
-    assert np.array_equal(last, [1.0, 0.5]) and np.array_equal(start, [3.0, 0.5])
-    assert points_equal(pts[-1], make_point(EU2, [(1.0, 0.5)]))
-    assert not actions_mod._descend(F, EU2, start, [0], [0.0], 3.0, 3.0)[2]
-    assert actions_mod._descend(F, EU2, start, [0], [1e-12], 3.0, 0.0) is not None
-    assert actions_mod._descend(F, EU2, start, [0], [1e-11], 3.0, 0.0) is None
+    pts, vals = ray(_RayObjective(), EU2, start, 0, [-1.0, -1.0, 0.0, -0.5, -0.5],
+                    3.0, 3.0, (0,))
+    assert vals == [2.0, 1.0, 1.0, 0.5, 0.0] and np.array_equal(start, [3.0, 0.5])
+    assert len(pts) == 4 and points_equal(pts[0], make_point(EU2, [(1.0, 0.5)]))
+    assert points_equal(pts[-1], make_point(EU2, [(0.0, 0.5)]))
+    # a rise of 1e-12 (1 + |ref|) is flat; a flat ray that closes is a hit
+    assert ray(_RayObjective(), EU2, start, [0], [1e-12], 3.0, 0.0, (0,)) is not None
+    assert ray(_RayObjective(), EU2, start, [0], [1e-11], 3.0, 0.0, (0,)) is None
+    assert ray(_RayObjective(), EU2, start, [0], [0.0], 3.0, 3.0, (0,)) is not None
+    # the watched distance must close to a thousandth of a positive start
+    assert ray(_RayObjective(end=1.001e-3), EU2, start, [0], [0.0], 3.0, 3.0, (0,)) is None
+    unwalked = _RayObjective(start=0.0, end=0.0)
+    assert ray(unwalked, EU2, start, [0], [0.0], 3.0, 3.0, (0,)) is None
+    assert unwalked.calls == 0
+
+
+PARABOLIC = MobiusAction(((1.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("second, action, L", [
+    (Euclidean(1), EuclideanAction([[1.0]], [1.0]), 1.0),
+    (HyperbolicPlane(), MobiusAction(((2.0, 0.0), (0.0, 0.5))), math.log(4.0)),
+], ids=["H2xE1", "H2xH2"])
+def test_parabolic_factor_is_never_attained(second, action, L):
+    # a parabolic's displacement closes only as y -> infinity, under a
+    # total that stays flat at double precision (Bridson-Haefliger II.6)
+    res = classify(Isometry(SpaceSpec((HyperbolicPlane(), second)), (PARABOLIC, action)))
+    assert res.label == REDUCIBLE and res.evidence["decided_by"] == "infinity-ray"
+    assert abs(res.L_estimate - L) <= 1e-6
+    assert isinstance(res.witness, EscapeWitness) and res.witness.unbounded
+
+
+def test_factor_at_rest_is_not_an_escape():
+    # the Euclidean factor and the horn are fixed, so their rays watch a
+    # zero distance: nothing closes and the hyperbolic axis is attained
+    z4_act = z4().actions[0]
+    he, nh = SpaceSpec((HyperbolicPlane(), Euclidean(1))), SpaceSpec((Horn(), HyperbolicPlane()))
+    for space, acts in ((he, (z4_act, EuclideanAction([[1.0]], [0.0]))),
+                        (nh, (HornAction(a=0.0), z4_act))):
+        res = classify(Isometry(space, acts))
+        assert res.label == PSEUDO_ANOSOV and res.evidence["decided_by"] == "certificate"
+        assert abs(res.L_estimate - math.log(4.0)) <= 1e-6
+
+
+def test_horn_escape_beats_a_parabolic_factor():
+    space = SpaceSpec((Horn(), HyperbolicPlane()))
+    res = classify(Isometry(space, (HornAction(a=0.5), PARABOLIC)))
+    assert res.label == STRICTLY_PSEUDOPERIODIC and not res.attained

@@ -5,10 +5,12 @@ import pytest
 
 import hornlab.cli as cli_mod
 import hornlab.experiments as experiments_mod
-from hornlab.actions import DivergenceReport
+from hornlab.actions import DivergenceReport, isometry_from_json
 from hornlab.cli import main
 from hornlab.errors import BasinError, ConnectError, FlowBudgetError
 from hornlab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
+from hornlab.geometry import make_point, space_from_json
+from hornlab.paths import equivariant_seed, path_to_csv
 
 HORN_SPACE = '{"factors":[{"kind":"horn"}]}'
 HYP_SPACE = '{"factors":[{"kind":"hyperbolic"}]}'
@@ -81,6 +83,29 @@ def test_relax(tmp_path, capsys):
     assert rep["final_energy"] == pytest.approx(9.0, abs=1e-6)
 
 
+def test_relax_equivariant_seed(tmp_path, capsys):
+    space = space_from_json(json.loads(HYP_SPACE))
+    iso = isometry_from_json(space, json.loads(Z4))
+    seed = equivariant_seed(space, iso, make_point(space, [(0.8, 1.0)]), 8)
+    path_file = tmp_path / "seed.csv"
+    path_file.write_text(path_to_csv(seed))
+    rc = main(["relax", "--space", HYP_SPACE, "--iso", Z4, "--path", str(path_file),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "flow.json").read_text())
+    assert rep["converged"] and not rep["escaped"]
+
+
+def test_axis_escaping_flow_is_inconclusive(capsys):
+    # the horn translation's flow runs off toward the stratum xi = 0
+    rc = main(["axis", "--space", HORN_SPACE, "--nodes", "8",
+               "--iso", '{"factor_actions":[{"kind":"horn_translate","a":1.0}]}',
+               "--base", '{"blocks":[{"theta":0.0,"xi":0.5}]}'])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "escaped" in captured.err
+
+
 def test_classify_exit_codes(capsys):
     rc = main(["classify", "--space", HYP_SPACE, "--iso", Z4])
     assert rc == 0
@@ -111,8 +136,16 @@ def test_masur_and_expansion(tmp_path, capsys):
     assert len(csv_lines) == 4
 
 
+def test_masur_repeated_pair_is_one_column(capsys):
+    rc = main(["masur", "--pairs", "normal,normal;normal,normal", "--num", "6"])
+    assert rc == 0
+    assert list(json.loads(capsys.readouterr().out)["fits"]) == ["pairing_normal_normal"]
+
+
 def test_usage_errors():
     assert main(["distance", "--space", HORN_SPACE, "--from", BOUNDARY]) == 3
+    # a geodesic needs --to or --velocity
+    assert main(["geodesic", "--space", HORN_SPACE, "--from", TARGET]) == 3
     assert main(["tensor", "--space", HORN_SPACE, "--point", "not-json{"]) == 3
     assert main(["nonsense"]) == 3
 

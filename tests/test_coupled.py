@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hornlab.errors import DistanceIntervalError, IntegrationError
 from hornlab.geometry import (
+    XI_SNAP,
     Euclidean,
     PerturbedHorn,
     SpaceSpec,
@@ -97,6 +99,19 @@ def test_underflow_pair_stops_at_positive_definite_edge():
     edge = (4.0 * factor.B / factor.b3**2) ** (1.0 / 6.0)  # a4 = 0
     _, state = exc.value.last_state
     assert abs(state[1] - edge) <= 1e-3
+
+
+def test_coupled_distance_from_the_boundary():
+    # the boundary endpoint is pulled off to the snap level; below it the
+    # reduced warp's radial tail is exact, so only the snap itself errs
+    factor = COUPLED.factors[0]
+    p = make_point(COUPLED, [None, (0.0,)])
+    q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
+    radial, _ = quad(lambda t: math.sqrt(factor.profile.h(t) - factor.b3**2 * t**6), 0.0, 0.9,
+                     epsabs=1e-13, epsrel=1e-13)
+    want = math.hypot(radial, 0.7 + factor.b3 * 0.9**4 / 4.0)
+    snap = 2.0 * math.sqrt(factor.B) * XI_SNAP * math.sqrt(1.0 + factor.a4 * XI_SNAP**4)
+    assert abs(distance(COUPLED, p, q) - want) <= snap
 
 
 def test_coupled_bounds_contain_distance():

@@ -86,7 +86,7 @@ def test_objective_equals_displacement_bit_for_bit(name):
         if space.horn_indices:
             parts = factor_distances(space, p, iso.apply(p))
             want = max(parts[i] for i in space.horn_indices)
-            assert _bits(F.horn_part(u)) == _bits(want), u
+            assert _bits(F.part(u, space.horn_indices)) == _bits(want), u
     assert sum(F.evals.values()) == 200
     assert snapped > 0 or not space.horn_indices
 
