@@ -21,17 +21,31 @@ bound term); ``PathBundle``, ``factor_distances`` (and through it
   over the levels ``off`` to ``off + span`` above the turning level,
   takes one of three routes (:func:`_branch_integral`): incomplete beta
   functions for pure-power profiles (``Horn``, and ``PerturbedHorn``
-  with ``a4 = c6 = 0``) with ``off <= span``; one smooth Gauss-Legendre
-  panel for every profile with ``off > span``; and Gauss-Legendre panels
-  shrinking geometrically toward the turning level for ``a4`` or ``c6``
-  > 0 with ``off <= span``.  Both quadratures run under the square-root
-  substitution ``dx = off + span tau^2``.
-* b3-coupled charts: damped-Newton shooting on the initial velocity with
-  a curve-shortening fallback on dyadically refined polylines, one banded
-  LU solve per descent step.  Each shoot integrates the base velocity
-  together with d partner rows ``v + delta e_k`` on the base row's step
-  sequence, so the shoot that accepts a Newton step also yields the
-  finite-difference Jacobian of the next one.
+  with ``a4 = c6 = 0``, but not its reduced profile) with ``off <=
+  span``; one smooth Gauss-Legendre panel for every profile with ``off >
+  span``; and Gauss-Legendre panels shrinking geometrically toward the
+  turning level for the other profiles with ``off <= span``.  Both
+  quadratures run under the square-root substitution ``dx = off + span
+  tau^2``.
+* One b3-coupled horn: ``y = x + b3 xi^4 / 4`` on the first Euclidean
+  coordinate splits the horn and that Euclidean block into a product of
+  the horn's *reduced* profile, radial coefficient ``h - b3^2 xi^6``
+  (``PerturbedHorn.reduced``), and a flat block in ``(y, ...)``
+  (:class:`_SplitPath`).  The reduced horn takes the first-integral
+  solver above, never its closed forms, and the ``y`` block a line.
+  ``sqrt(h - b3^2 xi^6)`` vanishes like ``sqrt(edge - xi)`` at the edge,
+  the level where the chart stops being positive definite, so levels
+  more than half way up to it take one more Gauss-Legendre panel in
+  ``sqrt(edge - xi)`` (:func:`_edge_nodes`).
+* Two or more b3-coupled horns, which ``y`` does not split from each
+  other: damped-Newton shooting on the initial velocity with a
+  curve-shortening fallback on dyadically refined polylines, one banded
+  LU solve per descent step (:class:`_GroupPath`).  Each shoot
+  integrates the base velocity together with d partner rows ``v +
+  delta e_k`` on the base row's step sequence, so the shoot that accepts
+  a Newton step also yields the finite-difference Jacobian of the next
+  one.  ``shooting_connect`` and ``curve_shortening_connect`` also serve
+  as reference solvers on any chart.
 
 Every factor solver is symmetric in its endpoints by construction, so
 distances come out exactly symmetric.  Lengths from the first-integral
@@ -89,6 +103,19 @@ def _level_length(h, a: float, b: float) -> float:
     base, ws = _gl(64)
     t = a + (b - a) * base
     return abs(b - a) * float(np.sum(ws * np.sqrt(np.maximum(h(t), 0.0))))
+
+
+def _edge_nodes(top: float, a: float, b: float, n: int):
+    """Points and weights of an n-node Gauss-Legendre rule over [a, b],
+    ``a < b <= top``, taken in ``w = sqrt(top - t)``.
+
+    A reduced profile's ``sqrt(h)`` vanishes like ``sqrt(edge - xi)``:
+    rough in xi, however near b the edge sits, but smooth in w.
+    """
+    base, ws = _gl(n)
+    w_lo, w_hi = math.sqrt(max(top - b, 0.0)), math.sqrt(top - a)
+    w = w_lo + (w_hi - w_lo) * base
+    return top - w * w, (w_hi - w_lo) * ws * 2.0 * w
 
 
 def _panel_count(width: float, span: float) -> int:
@@ -188,30 +215,41 @@ def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
     which keeps shallow dips accurate when that distance sits far below
     the float resolution of xi_star itself.  Three routes:
 
-    * closed form: pure-power profiles (``a4 = c6 = 0``: ``Horn``, and
-      ``PerturbedHorn`` with only ``B`` set) with ``off <= span`` take the
-      incomplete-beta formulas;
+    * closed form: pure-power profiles (``prof.pure``: ``Horn``, and
+      ``PerturbedHorn`` with only ``B`` set; never a reduced profile)
+      with ``off <= span`` take the incomplete-beta formulas;
     * one smooth panel: every profile with ``off > span`` takes one
       ``SMOOTH_NODES``-node Gauss-Legendre panel.  The integrand is
       analytic in tau on [0, 1] there: its branch point dx = 0 sits at
       ``tau = +-i sqrt(off / span)``, at distance at least 1, while the
       closed-form difference would cancel;
-    * geometric panels: profiles with ``a4`` or ``c6`` > 0 and
-      ``off <= span`` take ``PANEL_NODES``-node panels shrinking toward
-      the turning level (:func:`_panel_count`), where the square-root
-      substitution absorbs the integrable singularity at dx = 0.
+    * geometric panels: the other profiles (``a4``, ``c6`` or ``b3`` >
+      0) with ``off <= span`` take ``PANEL_NODES``-node panels shrinking
+      toward the turning level (:func:`_panel_count`), where the
+      square-root substitution absorbs the integrable singularity at
+      dx = 0.
 
-    The quadrature routes evaluate the profile only through its ``f``,
-    ``h`` and ``f_minus`` methods.
+    A reduced profile's levels in the upper half from ``xi_star`` to its
+    edge take one more panel, in ``sqrt(edge - xi)`` (:func:`_edge_nodes`),
+    and the routes above the levels below that half.  The quadrature
+    routes evaluate the profile only through its ``f``, ``h`` and
+    ``f_minus`` methods.
     """
     if span <= 0.0:
         return 0.0
     c = math.sqrt(prof.f(xi_star))
     if kind == "theta" and c == 0.0:
         return 0.0
+    edge_part = 0.0
+    half = 0.5 * (prof.edge - xi_star)  # inf unless b3 > 0
+    if off + span > half:
+        edge_part = _edge_branch(prof, xi_star, max(off, half), off + span, c, kind)
+        if off >= half:
+            return edge_part
+        span = half - off
     if off > span:
         tau2, w_tau = _tau_nodes(SMOOTH_NODES, 1)
-    elif prof.a4 == 0.0 and prof.c6 == 0.0:
+    elif prof.pure:
         if kind == "theta":
             return _pure_theta(xi_star, off, span)
         return _pure_len(prof.B, xi_star, off, span)
@@ -233,7 +271,23 @@ def _branch_integral(prof: WarpProfile, xi_star: float, off: float, span: float,
             # nothing; sum the finite terms
             keep = np.isfinite(dens)
             total = float(w_tau[keep] @ dens[keep])
-    return scale * total
+    return scale * total + edge_part
+
+
+def _edge_branch(prof: WarpProfile, xi_star: float, lo: float, hi: float, c: float,
+                 kind: str) -> float:
+    """Branch integral of :func:`_branch_integral` over the level offsets
+    [lo, hi] above ``xi_star``, with ``lo`` at least half way to the edge:
+    one ``SMOOTH_NODES``-node panel in ``w = sqrt(edge - xi)``.  The
+    turning level, at ``w >= sqrt(2) w(lo)``, stays off the panel."""
+    dx, wts = _edge_nodes(prof.edge - xi_star, lo, hi, SMOOTH_NODES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = xi_star + dx
+        f, h = prof.f(xi), np.maximum(prof.h(xi), 0.0)
+        root = np.sqrt(prof.f_minus(xi, xi_star, dx))
+        if kind == "theta":
+            return c * float(wts @ (np.sqrt(h / f) / root))
+        return float(wts @ (np.sqrt(h * f) / root))
 
 
 def _pure_theta_slope(xi_star: float, off: float, span: float, theta: float) -> float:
@@ -299,25 +353,37 @@ def _newton_root(fn, x: float, a: float, fa: float, b: float, fb: float,
 
 
 def _radial_primitive(prof: WarpProfile):
-    """H(xi) = integral of sqrt(h) from 0, plus its inverse."""
-    if prof.a4 == 0.0:
+    """H(xi) = integral of sqrt(h) from 0, plus its inverse
+    ``H_inv(length, top)`` on the levels [0, top], for ``length`` up to
+    ``H(top)``.  A reduced profile's levels past half its edge take one
+    more panel, in ``sqrt(edge - xi)`` (:func:`_edge_nodes`)."""
+    if prof.flat_h:
         s = 2.0 * math.sqrt(prof.B)
-        return (lambda xi: s * xi), (lambda length: length / s)
+        return (lambda xi: s * xi), (lambda length, top=math.inf: length / s)
+
+    half = 0.5 * prof.edge  # inf unless b3 > 0
 
     def H(xi):
         if xi == 0.0:  # a collapsed endpoint needs no quadrature
             return 0.0
-        return _level_length(prof.h, 0.0, xi)
+        if xi <= half:
+            return _level_length(prof.h, 0.0, xi)
+        t, wts = _edge_nodes(prof.edge, half, xi, 64)
+        return _level_length(prof.h, 0.0, half) + float(wts @ np.sqrt(np.maximum(prof.h(t), 0.0)))
 
-    def H_inv(length):
+    def H_inv(length, top=math.inf):
         """Newton on ``H(x) - length`` with slope ``sqrt(h)``, from the
-        chord of the bracket [0, hi]: ``H >= 2 sqrt(B) xi`` puts the root
-        below the first ``hi``."""
+        chord of the bracket [0, hi].  Where ``h >= 4B``, ``H >= 2 sqrt(B)
+        xi`` puts the root below the first ``hi``; a reduced profile's
+        ``h`` falls below 4B and turns negative past its edge, so ``hi``
+        doubles from there up to ``top`` and no further."""
         if length <= 0.0:
             return 0.0
-        hi = length / (2.0 * math.sqrt(prof.B))
-        while (H_hi := H(hi)) < length:
-            hi *= 2.0
+        hi = min(length / (2.0 * math.sqrt(prof.B)), top)
+        while (H_hi := H(hi)) < length and hi < top:
+            hi = min(2.0 * hi, top)
+        if H_hi <= length:  # the top level itself, up to rounding
+            return hi
         return _newton_root(lambda x: (H(x) - length, math.sqrt(prof.h(x))),
                             hi * (length / H_hi), 0.0, -length, hi, H_hi - length)
 
@@ -412,9 +478,10 @@ class _RadialPath(_FactorPath):
         self._h0 = self.H(xi_from)
         self.length = abs(self.H(xi_to) - self._h0)
         self._sgn = 1.0 if xi_to >= xi_from else -1.0
+        self._top = max(xi_from, xi_to)
 
     def _xi(self, s):
-        return self.H_inv(self._h0 + self._sgn * s)
+        return self.H_inv(self._h0 + self._sgn * s, self._top)
 
     def point(self, s):
         xi = self._xi(s)
@@ -454,7 +521,7 @@ def _dip_residual(prof: WarpProfile, lo: float, dth: float, branches, cap: float
     (:func:`_pure_theta_slope`); on the panel route it is the secant
     through the last evaluation, or that closed form on the first call.
     """
-    pure = prof.a4 == 0.0 and prof.c6 == 0.0
+    pure = prof.pure
     last = []
 
     def g(lam):
@@ -608,7 +675,7 @@ class _WarpedPath(_FactorPath):
         lam_hi = math.log(lo)
         xs_hi = lo - min(math.exp(lam_hi), cap)  # as the residual takes it
         weight = sum(w for _, w, _ in branches)
-        if (prof.a4 == 0.0 and prof.c6 == 0.0 and prof.f(xs_hi) > 0.0
+        if (prof.pure and prof.f(xs_hi) > 0.0
                 and (xs_hi / lo) ** 6 < 0.5
                 and 0.5 * _BETA * weight / (3.0 * xs_hi * xs_hi) > dth):
             g_hi = math.inf
@@ -693,6 +760,69 @@ def _warp_connect(prof: WarpProfile, a, b):
 
 
 # ---------------------------------------------------------------------------
+# one coupled horn: the split chart
+
+
+class _SplitPath:
+    """Geodesic of the horn and Euclidean blocks of a chart with one
+    b3-coupled horn; one unit of a ``PathBundle``.
+
+    On the first coordinate x of the Euclidean block, ``y = x + b3 xi^4 /
+    4`` turns ``f dtheta^2 + h dxi^2 + 2 b3 xi^3 dxi dx + dx^2`` into the
+    product of the horn's reduced profile ``f dtheta^2 + (h - b3^2 xi^6)
+    dxi^2`` (``PerturbedHorn.reduced``) and the flat block ``(y, ...)``.
+    So the unit is the reduced horn's first-integral path and a straight
+    line in ``(y, ...)``, each at its own constant speed.  Points map back
+    with ``x = y - b3 xi^4 / 4`` and velocities with ``dx = dy - b3 xi^3
+    dxi``; the other Euclidean coordinates are the line's own.
+
+    A horn geodesic never rises above its higher endpoint level, and the
+    reduced coefficient, positive at xi = 0, is positive below every level
+    where it is positive.  So the split holds wherever both endpoints lie
+    below the reduced profile's edge, the least level with ``h - b3^2 xi^6
+    <= 0``, which is where the chart metric is positive definite; any
+    other horn block raises ConnectError.
+    """
+
+    def __init__(self, factor, horn_a, horn_b, eu_a, eu_b):
+        self.b3 = factor.b3
+        prof = factor.reduced
+        for blk in (horn_a, horn_b):
+            if isinstance(blk, HornPoint) and not blk.xi < prof.edge:
+                raise ConnectError("b3-coupled block at or beyond the positive-definite "
+                                   f"edge xi = {prof.edge!r}: xi = {blk.xi!r}")
+        self.horn = _ConstPath(horn_a) if horn_a == horn_b else _warp_connect(prof, horn_a, horn_b)
+        y_a, y_b = [(x[0] + self.b3 * _level(blk) ** 4 / 4.0,) + tuple(x[1:])
+                    for x, blk in ((eu_a, horn_a), (eu_b, horn_b))]
+        self.line = _ConstPath(y_a) if y_a == y_b else _LinePath(y_a, y_b)
+        self.length = math.hypot(self.horn.length, self.line.length)
+
+    def _at(self, s):
+        """The horn's and the line's arclength parameters at s: each
+        runs the same fraction of its length as s of the unit's."""
+        t = s / self.length if self.length > 0.0 else 0.0
+        return t * self.horn.length, t * self.line.length
+
+    def blocks_at(self, s):
+        s_h, s_y = self._at(s)
+        blk = self.horn.point(s_h)
+        y = self.line.point(s_y)
+        return [blk, (y[0] - self.b3 * _level(blk) ** 4 / 4.0,) + tuple(y[1:])]
+
+    def velocity_blocks_at(self, s):
+        """Unit velocity; None on a boundary horn block, where dx = dy."""
+        s_h, s_y = self._at(s)
+        w_h, w_y = ((self.horn.length / self.length, self.line.length / self.length)
+                    if self.length > 0.0 else (0.0, 0.0))
+        v = self.horn.velocity(s_h)
+        v_h = None if v is None else tuple(w_h * c for c in v)
+        v_y = tuple(w_y * c for c in self.line.velocity(s_y))
+        dxi = 0.0 if v_h is None else v_h[1]
+        xi = _level(self.horn.point(s_h))
+        return [v_h, (v_y[0] - self.b3 * xi**3 * dxi,) + v_y[1:]]
+
+
+# ---------------------------------------------------------------------------
 # coupled charts: two-stage generic solver
 
 SHOOT_TOL = 1e-10     # shooting residual, relative to 1 + |target chart point|
@@ -740,6 +870,10 @@ def shooting_connect(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
     where the metric's least eigenvalue is ~2e-8 and the step underflows.
     Skipping that guess took 4x as long and still gave an interval; taking
     every underflow as a failed candidate certified the pair in 9x the time.
+
+    ``distance`` shoots only on charts with two or more coupled horns
+    (:class:`_GroupPath`); one coupled horn splits off exactly, and there
+    this solver is the tests' independent reference.
     """
     x0 = chart_vector(space, p)
     x1 = chart_vector(space, q)
@@ -920,7 +1054,9 @@ def curve_shortening_connect(space: SpaceSpec, p: CompletionPoint, q: Completion
 
 
 class _GroupPath:
-    """Joint geodesic of a b3-coupled sub-chart."""
+    """Joint geodesic of the sub-chart of two or more b3-coupled horns and
+    the first Euclidean factor, by shooting with a curve-shortening
+    fallback."""
 
     def __init__(self, sub_space: SpaceSpec, factor_ids: tuple[int, ...],
                  p_blocks, q_blocks):
@@ -993,15 +1129,30 @@ class _GroupPath:
 
 
 class PathBundle:
-    """Per-factor geodesics assembled into the product geodesic."""
+    """Per-factor geodesics assembled into the product geodesic.
+
+    Each unit is one factor's exact path, except on b3-coupled charts: one
+    coupled horn and the first Euclidean factor form a :class:`_SplitPath`,
+    exact factor by factor in the split chart, and two or more coupled
+    horns form a :class:`_GroupPath` with the first Euclidean factor,
+    solved by shooting.  Raises ConnectError where a unit cannot be
+    certified.
+    """
 
     def __init__(self, space: SpaceSpec, p: CompletionPoint, q: CompletionPoint):
         self.space = space
         self.p, self.q = p, q
         self.units: list[tuple[tuple[int, ...], object]] = []  # (factor ids, path)
         grouped: set[int] = set()
-        if space.coupled:
-            ids = tuple(sorted(space.coupled_ids + (space.euclid_index,)))
+        coupled = space.coupled_ids
+        if len(coupled) == 1:
+            k, e = coupled[0], space.euclid_index
+            grouped = {k, e}
+            split = _SplitPath(space.factors[k], p.blocks[k], q.blocks[k],
+                               p.blocks[e], q.blocks[e])
+            self.units.append(((k, e), split))
+        elif coupled:
+            ids = tuple(sorted(coupled + (space.euclid_index,)))
             grouped = set(ids)
             sub_space = SpaceSpec(tuple(space.factors[i] for i in ids))
             gp = _GroupPath(
@@ -1075,13 +1226,17 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     """Geodesic distance on the completed product space.
 
     Symmetric by construction; zero exactly when the canonicalized
-    points coincide.  If a factor solve fails to certify, or a shoot of
-    the coupled solver fails to integrate, the error is converted to an
-    interval [lower, upper] (the upper bound routes radially through the
-    collapsed axis; see :func:`lower_bound_distance` for what the lower
-    bound assumes on coupled charts).  A shoot that leaves a coupled
-    chart's positive-definite region underflows its step, so such a pair
-    stays an interval (see :func:`shooting_connect`).
+    points coincide.  Uncoupled charts sum the exact factor distances in
+    quadrature; a chart with one b3-coupled horn is exact too, on the split
+    chart (:class:`_SplitPath`), and one with two or more shoots
+    (:class:`_GroupPath`).  If a factor solve fails to certify, a coupled
+    horn block lies where ``h - b3^2 xi^6 <= 0``, or a shoot fails to
+    integrate, the error is converted to an interval [lower, upper] (the
+    upper bound routes radially through the collapsed axis; see
+    :func:`lower_bound_distance` for what the lower bound assumes on
+    coupled charts).  A shoot that leaves a coupled chart's
+    positive-definite region underflows its step, so such a pair stays an
+    interval (see :func:`shooting_connect`).
     """
     if p.blocks == q.blocks:  # make_point canonicalizes: points_equal at tol 0
         return 0.0

@@ -78,12 +78,42 @@ XI_ATTAIN = 10.0 * XI_SNAP
 
 
 class WarpProfile:
-    """Coefficient functions of a rotationally symmetric horn-type block."""
+    """Coefficient functions of a rotationally symmetric horn-type block.
 
-    def __init__(self, B=1.0, a4=0.0, c6=0.0):
+    ``b3 > 0`` makes the *reduced* profile of a b3-coupled perturbed horn,
+    whose radial coefficient ``h - b3^2 xi^6`` is the horn factor left
+    once ``y = x + b3 xi^4 / 4`` splits the coupled Euclidean coordinate
+    off the chart (see ``PerturbedHorn.reduced``).  Positive at a level
+    xi, that coefficient is positive on all of ``[0, xi]``.
+    """
+
+    def __init__(self, B=1.0, a4=0.0, c6=0.0, b3=0.0):
         self.B = float(B)
         self.a4 = float(a4)
         self.c6 = float(c6)
+        self.b3 = float(b3)
+        #: ``h = 4B``: the radial arclength is linear in xi
+        self.flat_h = self.a4 == 0.0 and self.b3 == 0.0
+        #: ``f = B xi^6, h = 4B``: the branch integrals have closed forms
+        self.pure = self.flat_h and self.c6 == 0.0
+        #: least level where ``h <= 0`` (inf when b3 = 0), where the
+        #: coupled chart stops being positive definite
+        self.edge = math.inf if self.b3 == 0.0 else self._edge()
+
+    def _edge(self) -> float:
+        """Bisection to the float resolution: ``h / xi^6`` falls strictly
+        in xi, so ``h`` changes sign once.  A level whose ``h`` overflows
+        counts as past the edge."""
+        lo, hi = 0.0, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.h(np.float64(hi)) > 0.0:
+                lo, hi = hi, 2.0 * hi
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if self.h(np.float64(mid)) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+        return hi
 
     def f(self, xi):
         x6 = xi**6
@@ -100,11 +130,14 @@ class WarpProfile:
         return self.B * (30.0 * xi**4 + 132.0 * self.c6 * xi**10)
 
     def h(self, xi):
-        if self.a4 == 0.0:
+        if self.flat_h:
             return 4.0 * self.B  # scalar broadcasts over node arrays
-        return 4.0 * self.B * (1.0 + self.a4 * xi**4)
+        h = 4.0 * self.B if self.a4 == 0.0 else 4.0 * self.B * (1.0 + self.a4 * xi**4)
+        return h if self.b3 == 0.0 else h - self.b3**2 * xi**6
 
     def hp(self, xi):
+        """``d h / d xi`` of a chart profile (``b3 = 0``); the metric
+        derivatives never read a reduced profile."""
         if self.a4 == 0.0:
             return 0.0
         return 16.0 * self.B * self.a4 * xi**3
@@ -325,7 +358,11 @@ class PerturbedHorn(_HornKind):
 
     Block metric ``diag(B xi^6 (1 + c6 xi^6), 4 B (1 + a4 xi^4))``; when
     ``b3 > 0`` the term ``b3 xi^3 dxi dx1`` couples the radial direction
-    to the first Euclidean coordinate of the space.
+    to the first Euclidean coordinate of the space.  ``profile`` is the
+    block metric the chart uses; ``reduced`` is the warp profile with
+    radial coefficient ``4 B (1 + a4 xi^4) - b3^2 xi^6`` that the block
+    keeps once ``y = x1 + b3 xi^4 / 4`` splits the coupled coordinate off
+    (the same object as ``profile`` when ``b3 = 0``).
     """
 
     B: float = 1.0
@@ -342,7 +379,10 @@ class PerturbedHorn(_HornKind):
             v = getattr(self, name)
             if v < 0 or not math.isfinite(v):
                 raise ValueError(f"PerturbedHorn amplitude {name} must be finite and >= 0")
-        object.__setattr__(self, "profile", WarpProfile(B=self.B, a4=self.a4, c6=self.c6))
+        profile = WarpProfile(B=self.B, a4=self.a4, c6=self.c6)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "reduced", WarpProfile(B=self.B, a4=self.a4, c6=self.c6,
+                                                        b3=self.b3) if self.b3 else profile)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "B": self.B, "a4": self.a4, "b3": self.b3, "c6": self.c6}

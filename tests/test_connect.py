@@ -318,14 +318,20 @@ def test_snap_threshold_continuity_bound(factor):
     assert abs(d - unsnapped) <= 2.0 * root_b * XI_SNAP * (1 + 1e-12)
 
 
-def test_coupled_step_underflow_gives_interval():
-    # a b3-coupled pair whose reference shoot underflows its step size
-    from hornlab.errors import DistanceIntervalError
+def test_coupled_step_underflow_pair_is_exact():
+    # a b3-coupled pair whose reference shoot underflows its step size; the
+    # split chart solves it exactly: 2.0517456505754383 is the value of the
+    # product oracle of tests/test_coupled.py (oracle_distance)
+    from hornlab.errors import IntegrationError
+    from hornlab.geometry import upper_bound_distance
+    from hornlab.geometry.spaces import point_key
 
     space = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
     p = make_point(space, [(0.7148085531751387, 0.14718925640407762), (0.45931089285988813,)])
     q = make_point(space, [(-0.648688758794882, 1.1711044827554205), (0.08292244049818343,)])
-    with pytest.raises(DistanceIntervalError) as exc:
-        distance(space, p, q)
-    assert exc.value.lower == pytest.approx(lower_bound_distance(space, p, q), rel=1e-15)
-    assert 0.0 < exc.value.lower <= exc.value.upper
+    with pytest.raises(IntegrationError):
+        shooting_connect(space, *sorted((p, q), key=point_key))
+    d = distance(space, p, q)
+    assert abs(d - 2.0517456505754383) <= 1e-12
+    assert distance(space, q, p) == d
+    assert lower_bound_distance(space, p, q) <= d <= upper_bound_distance(space, p, q)

@@ -1,6 +1,6 @@
 """Oracles for the eighth-order shoot: the imported tableau's order
 conditions, closed-form hyperbolic geodesics, horn first integrals, its
-step budget on a coupled distance and the interpolation of shot segments."""
+step budget on a coupled reference shoot and the interpolation of shot segments."""
 
 import math
 
@@ -19,9 +19,11 @@ from hornlab.geometry import (
     distance,
     geodesic_shoot,
     make_point,
+    shooting_connect,
     tangent_from_chart,
 )
 from hornlab.geometry.shoot import _tableau
+from hornlab.geometry.spaces import point_key
 
 HORN = SpaceSpec((Horn(),))
 HYP = SpaceSpec((HyperbolicPlane(),))
@@ -91,7 +93,11 @@ def test_coupled_distance_step_budget(monkeypatch):
         return run
 
     monkeypatch.setattr(connect_mod, "shoot_rows", counting)
+    # one coupled horn splits off the chart and takes no step; the
+    # reference shoot of the full chart keeps its budget
     distance(COUPLED, p, q)
+    assert steps == []
+    shooting_connect(COUPLED, *sorted((p, q), key=point_key))
     assert 0 < sum(steps) <= 60
 
 

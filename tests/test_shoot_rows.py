@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hornlab.geometry.connect as connect_mod
-from hornlab.errors import DistanceIntervalError, IntegrationError
+from hornlab.errors import IntegrationError
 from hornlab.geometry import (
     Euclidean,
     Horn,
@@ -36,6 +36,8 @@ HYP = SpaceSpec((HyperbolicPlane(),))
 HORN_E1 = SpaceSpec((Horn(), Euclidean(1)))
 COUPLED = SpaceSpec((PerturbedHorn(B=1.0, a4=0.1, b3=0.2), Euclidean(1)))
 UNDERFLOW = SpaceSpec((PerturbedHorn(B=1.0, b3=0.3), Euclidean(1)))
+TWO_COUPLED = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), PerturbedHorn(B=1.0, a4=0.1, b3=0.2),
+                         Euclidean(1)))
 
 # (space, start blocks, chart velocity, arclength)
 CASES = {
@@ -120,16 +122,15 @@ def test_underflow_pair_base_row_still_raises():
     a, b = (q, p) if point_key(q) < point_key(p) else (p, q)
     with pytest.raises(IntegrationError):
         shooting_connect(UNDERFLOW, a, b)
+    # the split chart never shoots; 2.0517456505754383 is the product
+    # oracle of tests/test_coupled.py (oracle_distance)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DistanceIntervalError) as exc:
-            distance(UNDERFLOW, p, q)
-    assert exc.value.lower <= 2.051746 <= exc.value.upper
+        d = distance(UNDERFLOW, p, q)
+    assert abs(d - 2.0517456505754383) <= 1e-12
 
 
 def test_coupled_distance_needs_no_sampled_segment(monkeypatch):
-    p = make_point(COUPLED, [(0.0, 0.8), (0.0,)])
-    q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
     calls = []
     real_shoot_rows = connect_mod.shoot_rows
 
@@ -137,26 +138,35 @@ def test_coupled_distance_needs_no_sampled_segment(monkeypatch):
         calls.append(1)
         return real_shoot_rows(*args, **kwargs)
 
-    # distance shoots exactly what its shooting solve shoots, nothing more
     monkeypatch.setattr(connect_mod, "shoot_rows", counting)
-    d = distance(COUPLED, p, q)
+    # one coupled horn: the split chart shoots nothing
+    p = make_point(COUPLED, [(0.0, 0.8), (0.0,)])
+    q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
+    distance(COUPLED, p, q)
+    midpoint(COUPLED, p, q)
+    geodesic_connect(COUPLED, p, q, samples=5)
+    assert calls == []
+    # two coupled horns: distance shoots exactly what its shooting solve
+    # shoots, nothing more
+    p = make_point(TWO_COUPLED, [(0.0, 0.8), (0.1, 0.7), (0.0,)])
+    q = make_point(TWO_COUPLED, [(0.4, 0.9), (0.3, 0.9), (0.7,)])
+    d = distance(TWO_COUPLED, p, q)
     in_distance = len(calls)
     calls.clear()
-    shooting_connect(COUPLED, *sorted((p, q), key=point_key))
+    shooting_connect(TWO_COUPLED, *sorted((p, q), key=point_key))
     assert in_distance == len(calls) > 0
     monkeypatch.undo()
     # points along the geodesic are shot again from its start
-    m = midpoint(COUPLED, p, q)
-    assert distance(COUPLED, p, m) == pytest.approx(0.5 * d, rel=1e-9)
-    seg = geodesic_connect(COUPLED, p, q, samples=5)
+    m = midpoint(TWO_COUPLED, p, q)
+    assert distance(TWO_COUPLED, p, m) == pytest.approx(0.5 * d, rel=1e-9)
+    seg = geodesic_connect(TWO_COUPLED, p, q, samples=5)
     assert seg.length == d
-    assert chart_vector(COUPLED, seg.point_at(0.5)) == pytest.approx(
-        chart_vector(COUPLED, m), abs=1e-14)
+    assert chart_vector(TWO_COUPLED, seg.point_at(0.5)) == pytest.approx(
+        chart_vector(TWO_COUPLED, m), abs=1e-14)
 
 
 @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
 def test_coupled_points_along_split_the_distance(frac):
-    # both orientations: the solver shoots from the lesser endpoint
     p = make_point(COUPLED, [(0.0, 0.8), (0.0,)])
     q = make_point(COUPLED, [(0.4, 0.9), (0.7,)])
     d = distance(COUPLED, p, q)
