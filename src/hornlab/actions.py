@@ -892,11 +892,15 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
     isometry.
 
     The flow is ``refine_flow``'s Anderson-accelerated one, the only flow
-    ``axis`` runs; ``tol`` bounds a sweep's node displacement relative to
-    the mean segment length.  Raises BasinError when the flow escapes
-    toward a stratum (seed too far out for the contraction to hold), and
-    FlowBudgetError when it spends ``max_iter`` sweeps without converging
-    or escaping.
+    ``axis`` runs, at the seed's node count; ``tol`` bounds a sweep's node
+    displacement relative to the mean segment length.  A converged chain
+    is the axis: each node is the midpoint of its neighbours, and its
+    period is the translation length.  Raises BasinError when the flow
+    escapes toward a stratum (seed too far out for the contraction to
+    hold), FlowBudgetError when it spends ``max_iter`` sweeps without
+    converging or escaping, and ValueError when it converges to a period
+    below ``L_TOL``, the classifier's zero: the chain has collapsed onto a
+    fixed point, which is no axis.
     """
     flowed, report = refine_flow(seed_path, tol=tol, max_iter=max_iter)
     if report.escaped:
@@ -904,6 +908,9 @@ def axis(iso: Isometry, seed_path: DiscretePath, tol: float = 1e-10,
     if not report.converged:
         raise FlowBudgetError(
             f"flow neither converged nor escaped in {report.iterations} sweeps", report)
+    if report.final_length < L_TOL:
+        raise ValueError(f"flow converged to a fixed point (period {report.final_length:.3g}"
+                         f" < {L_TOL:g}): the isometry has no axis")
     return Axis(path=flowed, shift=iso, period_length=report.final_length)
 
 

@@ -10,7 +10,9 @@ from the previous iterate.  Fixed points are discrete geodesics, energy
 never increases, and sweeps are order-independent so node updates can be
 evaluated in any order or in parallel.  This plain flow is the reference
 (``relax``); ``refine_flow``, and so ``actions.axis``, runs the same sweep
-loop with an energy-safeguarded Anderson extrapolation of the sweep map.
+loop once, with an energy-safeguarded Anderson extrapolation of the sweep
+map, at the seed's node count: a converged equivariant chain is already
+the axis, so no refinement follows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,8 +40,6 @@ from .geometry import (
 from .geometry.spaces import _definite, _wire_parser, point_from_search, search_vector
 
 COMPETITOR_TOL = 1e-7     # slack the midpoint competitor inequality may lose
-REFINE_LENGTH_TOL = 1e-6  # refine_flow: a length change this small has settled
-REFINE_DOUBLINGS = 4      # refine_flow: most node doublings
 ANDERSON_DEPTH = 6        # refine_flow: sweeps the extrapolation looks back on
 
 
@@ -87,15 +87,6 @@ class FlowReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class RefineReport(FlowReport):
-    """:func:`refine_flow`'s report: ``iterations``, ``accelerated`` and
-    ``fallbacks`` summed over its stages, ``stage_sweeps`` the sweeps of
-    each stage, and every other field the last stage's."""
-
-    stage_sweeps: list[int] = field(default_factory=list)
 
 
 def _segments(space: SpaceSpec, pairs) -> tuple[list[float], float]:
@@ -194,9 +185,10 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
     (``fallbacks``) ones, and the stopping test still reads the plain
     sweep's displacement.
 
-    Escape is flagged when a node crosses the snap threshold toward a
-    stratum, or when the flow fails to converge while the smallest horn
-    coordinate drifts down: over the second half of the run it ends at
+    Escape is flagged when a node the flow moves (fixed endpoints are
+    not read) crosses the snap threshold toward a stratum, or when the
+    flow fails to converge while the smallest horn coordinate of those
+    nodes drifts down: over the second half of the run it ends at
     its lowest, below where that half began (the compactness hypothesis
     of long-time existence has no analogue then).  The run also ends,
     unconverged, once one ulp of a horn level is a longer move than the
@@ -243,7 +235,7 @@ def heat_flow(path: DiscretePath, max_iter: int = 10**6, tol: float = 1e-10,
         if not boundary_declared and any(pt.stratum() for pt in updatable):
             escaped = True
             break
-        mx = min((b.xi for pt in nodes for b in pt.blocks if isinstance(b, HornPoint)),
+        mx = min((b.xi for pt in updatable for b in pt.blocks if isinstance(b, HornPoint)),
                  default=None)
         if mx is not None:
             min_xi_series.append(mx)
@@ -329,42 +321,17 @@ def equivariant_seed(space: SpaceSpec, iso, base: CompletionPoint, n: int) -> Di
 
 
 def refine_flow(path: DiscretePath, *, tol: float = 1e-10, max_iter: int = 10**6
-                ) -> tuple[DiscretePath, RefineReport]:
-    """Accelerated flow, then double the node count until the length settles.
+                ) -> tuple[DiscretePath, FlowReport]:
+    """The flow ``axis`` runs: one Anderson-accelerated :func:`heat_flow`.
 
-    Starts from the given path (N typically 16) and stops when one
-    doubling changes the converged length by less than ``REFINE_LENGTH_TOL``,
-    or at the first stage that does not converge (``max_iter`` is a
-    per-stage budget).  Every stage is one accelerated :func:`heat_flow`,
-    whose limit may sit elsewhere along the axis than the plain flow's
-    (every slide is a fixed point).
+    Its limit may sit elsewhere along the axis than the plain flow's
+    (every slide is a fixed point).  No node refinement follows: at a
+    fixed point of the damped sweep every node is the midpoint of its
+    neighbours, so the chain is a local geodesic, hence (the space being
+    CAT(0)) the gamma-invariant geodesic line itself, and its period is
+    the translation length at every N.
     """
-    flowed, report = heat_flow(path, max_iter=max_iter, tol=tol, accelerate=True)
-    stages = [report]
-    for _ in range(REFINE_DOUBLINGS):
-        if not report.converged:
-            break
-        prev_len = report.final_length
-        flowed = _double_nodes(flowed)
-        flowed, report = heat_flow(flowed, max_iter=max_iter, tol=tol, accelerate=True)
-        stages.append(report)
-        if abs(report.final_length - prev_len) < REFINE_LENGTH_TOL:
-            break
-    summed = {k: sum(getattr(r, k) for r in stages)
-              for k in ("iterations", "accelerated", "fallbacks")}
-    return flowed, RefineReport(**{**vars(report), **summed},
-                                stage_sweeps=[r.iterations for r in stages])
-
-
-def _double_nodes(path: DiscretePath) -> DiscretePath:
-    space = path.space
-    out: list[CompletionPoint] = []
-    pairs = path.segment_endpoints()
-    for a, b in pairs:
-        out.append(a)
-        out.append(a if points_equal(a, b) else midpoint(space, a, b))
-    out.append(path.nodes[-1])
-    return DiscretePath(space, tuple(out), periodic_shift=path.periodic_shift)
+    return heat_flow(path, max_iter=max_iter, tol=tol, accelerate=True)
 
 
 # ---------------------------------------------------------------------------

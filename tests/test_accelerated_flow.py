@@ -1,5 +1,6 @@
 """The Anderson-accelerated equivariant flow behind ``axis`` against the
-plain damped flow, the closed-form periods and the horn escapes."""
+plain damped flow, the closed-form periods and the horn escapes, and the
+fixed-point fact that lets ``axis`` run it once, with no node doubling."""
 
 import math
 
@@ -9,7 +10,15 @@ import hornlab.paths as paths_mod
 from hornlab.actions import REDUCIBLE, HornAction, Isometry, axis
 from hornlab.errors import BasinError
 from hornlab.experiments import canonical_isometries, independent_pair
-from hornlab.geometry import XI_SNAP, Euclidean, Horn, SpaceSpec, distance, make_point
+from hornlab.geometry import (
+    XI_SNAP,
+    Euclidean,
+    Horn,
+    SpaceSpec,
+    distance,
+    make_point,
+    midpoint,
+)
 from hornlab.geometry.spaces import point_from_search, search_vector
 from hornlab.paths import DiscretePath, equivariant_seed, heat_flow, refine_flow
 
@@ -112,28 +121,50 @@ def test_search_chart_round_trip_and_clamps():
     assert low.blocks[1][1] == math.exp(-80.0)
 
 
-def test_refine_flow_reports_every_stage(monkeypatch):
-    # the reducible representative's N=16 stage takes about a hundred
-    # sweeps and the doubled stage one: the report counts them all
+def _reducible_seed() -> DiscretePath:
+    """The reducible representative's N=16 seed at xi = 0.5."""
     iso = canonical_isometries()[REDUCIBLE]
-    seed = equivariant_seed(iso.space, iso, make_point(iso.space, [(0.0, 0.5), (0.0,)]), 16)
-    stages = []
+    return equivariant_seed(iso.space, iso, make_point(iso.space, [(0.0, 0.5), (0.0,)]), 16)
+
+
+def test_refine_flow_is_one_accelerated_flow(monkeypatch):
+    # the reducible representative's flow takes about a hundred sweeps;
+    # refine_flow runs it once, through the module-level heat_flow
+    seed = _reducible_seed()
+    _, want = heat_flow(seed, tol=1e-10, max_iter=200_000, accelerate=True)
+    calls = []
 
     def recorded(*args, **kwargs):
-        out = heat_flow(*args, **kwargs)
-        stages.append(out[1])
-        return out
+        calls.append(kwargs)
+        return heat_flow(*args, **kwargs)
 
     monkeypatch.setattr(paths_mod, "heat_flow", recorded)
     _, rep = refine_flow(seed, tol=1e-10, max_iter=200_000)
-    assert len(stages) >= 2
-    assert rep.stage_sweeps == [r.iterations for r in stages]
-    assert rep.stage_sweeps[0] > 50
-    assert rep.iterations == sum(rep.stage_sweeps)
-    assert rep.accelerated == sum(r.accelerated for r in stages) > 0
-    assert rep.fallbacks == sum(r.fallbacks for r in stages)
-    last = stages[-1]
-    assert rep.converged == last.converged and rep.escaped == last.escaped
-    assert rep.final_length == last.final_length and rep.final_energy == last.final_energy
-    assert rep.max_displacement == last.max_displacement
+    assert calls == [{"max_iter": 200_000, "tol": 1e-10, "accelerate": True}]
+    assert rep == want
+    assert rep.iterations > 50 and rep.accelerated > 0
     assert rep.converged and rep.final_length == pytest.approx(2.0, abs=1e-9)
+
+
+def _with_midpoints(path: DiscretePath) -> DiscretePath:
+    """The chain on 2N segments: every segment's midpoint inserted."""
+    nodes = []
+    for a, b in path.segment_endpoints():
+        nodes += [a, midpoint(path.space, a, b)]
+    return DiscretePath(path.space, (*nodes, path.nodes[-1]),
+                        periodic_shift=path.periodic_shift)
+
+
+@pytest.mark.parametrize("case", ["reducible", "g1", "g2"])
+def test_converged_chain_is_already_the_axis(pair_flows, case):
+    # a converged equivariant chain is a local geodesic, so the chain with
+    # its midpoints inserted is a fixed point too: one sweep at 2N stops
+    # the flow, and the period does not move
+    if case == "reducible":
+        flowed, rep = refine_flow(_reducible_seed())
+    else:
+        _, (flowed, rep) = pair_flows[case]
+    assert rep.converged
+    _, fine = heat_flow(_with_midpoints(flowed), accelerate=True)
+    assert fine.converged and fine.iterations == 1
+    assert abs(fine.final_length - rep.final_length) < 1e-12

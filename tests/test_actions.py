@@ -324,6 +324,17 @@ def test_axis_out_of_budget_raises():
     assert not report.converged and not report.escaped
 
 
+def test_axis_refuses_a_fixed_point():
+    # the rotation by pi/2 about i fixes a point: its flow converges with a
+    # period at rounding level, which is no axis (Axis.point_at would
+    # compose the shift t / period times)
+    c = math.sqrt(0.5)
+    rot = Isometry(HYP, (MobiusAction(((c, c), (-c, c))),))
+    seed = equivariant_seed(HYP, rot, make_point(HYP, [(0.3, 1.0)]), 8)
+    with pytest.raises(ValueError, match="fixed point"):
+        axis(rot, seed)
+
+
 def test_axis_hartman_monotonicity():
     # along the plain flow the sup over the nodes of the distance to the
     # axis of z4 (the imaginary axis) never increases

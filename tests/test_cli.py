@@ -106,6 +106,26 @@ def test_axis_escaping_flow_is_inconclusive(capsys):
     assert captured.out == "" and "escaped" in captured.err
 
 
+ROTATION = ('{"factor_actions":[{"kind":"mobius","m":[[0.7071067811865476,0.7071067811865476],'
+            '[-0.7071067811865476,0.7071067811865476]]}]}')
+
+
+def test_axis_and_diverge_refuse_a_fixed_point(tmp_path, capsys):
+    # an elliptic isometry's flow collapses onto its fixed point; both
+    # commands stop with a configuration error instead of an axis of
+    # period zero
+    base = ["--base", '{"blocks":[{"coords":[0.3,1.0]}]}', "--nodes", "8"]
+    rc = main(["axis", "--space", HYP_SPACE, "--iso", ROTATION, "--out", str(tmp_path)] + base)
+    assert rc == 3
+    assert list(tmp_path.iterdir()) == []
+    rc = main(["diverge", "--space", HYP_SPACE, "--iso", ROTATION, "--iso2", Z4,
+               "--rgrid", "2,3"] + base)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: flow converged to a fixed point") == 2
+
+
 def test_classify_exit_codes(capsys):
     rc = main(["classify", "--space", HYP_SPACE, "--iso", Z4])
     assert rc == 0

@@ -120,6 +120,18 @@ def test_heat_flow_horn_escape():
     assert all(b <= a + 1e-15 for a, b in zip(series[:-1], series[1:]))
 
 
+@pytest.mark.parametrize("level", [1e-7, 2e-7])
+def test_heat_flow_fixed_endpoint_below_snap_level(level):
+    # a fixed endpoint at the snap level (a CSV row with xi = 1e-07 and
+    # boundary 0) is not a node the flow moves, so it is no escape
+    path = DiscretePath(HORN, tuple(make_point(HORN, [p]) for p in
+                                    [(0.0, level), (0.1, 0.5), (0.3, 0.6), (0.5, 0.8)]))
+    flowed, rep = heat_flow(path)
+    assert rep.converged and not rep.escaped
+    assert rep.iterations < 100
+    assert flowed.nodes[0] == path.nodes[0] and flowed.nodes[-1] == path.nodes[-1]
+
+
 def test_competitor_identical_paths():
     u = geodesic_nodes(EU2, make_point(EU2, [(0.0, 0.0)]), make_point(EU2, [(3.0, 4.0)]), 8)
     rep = midpoint_competitor_test(u, u)
