@@ -43,12 +43,13 @@ from .geometry import (
     BoundaryPoint,
     CompletionPoint,
     HornPoint,
+    PathBundle,
     SpaceSpec,
     distance,
     factor_distances,
     make_point,
     metric_tensor,
-    point_along,
+    points_equal,
 )
 from .geometry.spaces import (
     XI_ATTAIN,
@@ -855,6 +856,7 @@ class Axis:
     _powers: dict = field(default_factory=dict, repr=False)
     _cum: np.ndarray | None = field(default=None, repr=False)
     _pairs: list | None = field(default=None, repr=False)
+    _along: dict = field(default_factory=dict, repr=False)
 
     def _shift_power(self, k: int) -> Isometry:
         if k not in self._powers:
@@ -869,9 +871,17 @@ class Axis:
             self._cum = np.concatenate([[0.0], np.cumsum(lens)])
         return self._cum, self._pairs
 
+    def _segment_along(self, i: int):
+        """Fraction -> point on segment i, solved once (constant if degenerate)."""
+        if i not in self._along:
+            a, b = self._pairs[i]
+            self._along[i] = ((lambda w: a) if points_equal(a, b)
+                              else PathBundle(self.path.space, a, b).point_at)
+        return self._along[i]
+
     def point_at(self, t: float) -> CompletionPoint:
         """Point at arclength t along the axis (t in R, wraps by the shift)."""
-        cum, pairs = self._segments()
+        cum, _ = self._segments()
         total = cum[-1]
         k = math.floor(t / total)
         r = t - k * total
@@ -879,8 +889,7 @@ class Axis:
         i = min(max(i, 1), len(cum) - 1)
         seg_len = cum[i] - cum[i - 1]
         w = 0.0 if seg_len == 0 else (r - cum[i - 1]) / seg_len
-        a, b = pairs[i - 1]
-        base = point_along(self.path.space, a, b, w)
+        base = self._segment_along(i - 1)(w)
         if k == 0:
             return base
         return self._shift_power(k).apply(base)
@@ -1000,6 +1009,8 @@ class DivergenceReport:
     m_values: list[float]
     strictly_increasing_from: float | None
     center_distance: float
+    #: gap evaluations of the centre search (grid and Nelder-Mead) and line searches
+    evaluations: dict = field(default_factory=dict)
 
     def csv_table(self) -> tuple[list[str], list[tuple]]:
         """Header and rows of the divergence CSV, one row per R."""
@@ -1011,16 +1022,26 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
     """m(R) = min of d(A1(t), A2(s)) over |t| + |s| = R.
 
     Both parameterizations are recentered at the mutual closest approach
-    so the profile starts at the minimum gap; the properness proxy is
-    m(R) strictly increasing beyond some R0.
+    (a coarse grid of 17 t by ``grid_points`` s samples, polished by
+    Nelder-Mead) so the profile starts at the minimum gap.  In a CAT(0)
+    space (t, s) -> d(A1(t), A2(s)) is jointly convex, so on each sign
+    quadrant of the diamond the gap is a convex function of one variable:
+    m(R) is the least of the four corners and of one bounded line search
+    per quadrant.  The properness proxy is m(R) strictly increasing beyond
+    some R0.
     """
     if not all(math.isfinite(R) and R >= 0 for R in R_grid):
         raise ValueError(f"R_grid needs finite R >= 0, got {list(R_grid)}")
     space = axis1.path.space
     L1, L2 = axis1.period_length, axis2.period_length
+    n_gaps = [0]
+
+    def gap(t, s):
+        n_gaps[0] += 1
+        return distance(space, axis1.point_at(t), axis2.point_at(s))
 
     ts = np.linspace(0.0, L1, 17)
-    ss = np.linspace(-2.0 * L2, 2.0 * L2, 65)
+    ss = np.linspace(-2.0 * L2, 2.0 * L2, grid_points)
     q2 = [axis2.point_at(float(s)) for s in ss]
     best = (math.inf, 0.0, 0.0)
     for t in ts:
@@ -1029,37 +1050,22 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
             d = distance(space, p1, q)
             if d < best[0]:
                 best = (d, float(t), float(s))
-    x, center_d = _nelder_mead(
-        lambda u: distance(space, axis1.point_at(u[0]), axis2.point_at(u[1])),
-        np.array(best[1:]), 400, 1e-10, 1e-12)
+    x, center_d = _nelder_mead(lambda u: gap(u[0], u[1]), np.array(best[1:]),
+                               400, 1e-10, 1e-12)
     t_c, s_c = float(x[0]), float(x[1])
-
-    def gap(t, s):
-        return distance(space, axis1.point_at(t_c + t), axis2.point_at(s_c + s))
+    nm_evals = n_gaps[0]
 
     m_values = []
     for R in R_grid:
-        best_m = math.inf
-        a_grid = np.linspace(0.0, R, grid_points)
-        # each axis point of the scan once: four sign pairs share them
-        signs = (1.0, -1.0)
-        on1 = {sg: [axis1.point_at(t_c + sg * (R - a)) for a in a_grid] for sg in signs}
-        on2 = {sg: [axis2.point_at(s_c + sg * a) for a in a_grid] for sg in signs}
-        for sgn_t in signs:
-            for sgn_s in signs:
-                vals = [distance(space, p, q) for p, q in zip(on1[sgn_t], on2[sgn_s])]
-                i = int(np.argmin(vals))
-                lo = a_grid[max(i - 1, 0)]
-                hi = a_grid[min(i + 1, grid_points - 1)]
-                if hi > lo:
-                    r = minimize_scalar(
-                        lambda a: gap(sgn_t * (R - a), sgn_s * a),
-                        bounds=(lo, hi), method="bounded",
-                        options={"xatol": 1e-9},
-                    )
-                    best_m = min(best_m, float(r.fun))
-                best_m = min(best_m, float(vals[i]))
-        m_values.append(best_m)
+        vals = [gap(t_c + R, s_c), gap(t_c - R, s_c), gap(t_c, s_c + R), gap(t_c, s_c - R)]
+        # one line search per sign quadrant; at R = 0 the corners are the whole diamond
+        for sgn_t, sgn_s in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)) if R > 0 else ():
+            r = minimize_scalar(
+                lambda a: gap(t_c + sgn_t * (R - a), s_c + sgn_s * a),
+                bounds=(0.0, R), method="bounded", options={"xatol": 1e-9},
+            )
+            vals.append(float(r.fun))
+        m_values.append(min(vals))
     inc_from = None
     for i in range(len(m_values) - 1):
         if all(b > a for a, b in zip(m_values[i:-1], m_values[i + 1:])):
@@ -1070,6 +1076,8 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
         m_values=m_values,
         strictly_increasing_from=inc_from,
         center_distance=center_d,
+        evaluations={"centre_search": len(ts) * len(ss) + nm_evals,
+                     "line_searches": n_gaps[0] - nm_evals},
     )
 
 

@@ -169,7 +169,8 @@ def cmd_diverge(args) -> int:
     prof = divergence_profile(ax1, ax2, r_grid)
     _emit(args, "divergence.json",
           json_text({"R": prof.R_grid, "m": prof.m_values,
-                     "strictly_increasing_from": prof.strictly_increasing_from}),
+                     "strictly_increasing_from": prof.strictly_increasing_from,
+                     "evaluations": prof.evaluations}),
           {"divergence.csv": csv_text(*prof.csv_table())})
     return PASS
 

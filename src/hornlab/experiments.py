@@ -374,7 +374,7 @@ def run_diverge(config: ExperimentConfig) -> Outcome:
     increasing = all(b > a for a, b in zip(prof.m_values[:-1], prof.m_values[1:]))
     checks.append(Assertion(
         "m_strictly_increasing", increasing, prof.m_values, "strictly increasing",
-        None, "derived: grid minimum of pairwise axis distances",
+        None, "derived: convex gap, one line search per quadrant of |t| + |s| = R",
     ))
     gap = prof.m_values[-1] - prof.m_values[0]
     checks.append(Assertion(

@@ -40,6 +40,7 @@ from hornlab.geometry import (
     distance,
     make_point,
     metric_tensor,
+    point_along,
     points_equal,
 )
 from hornlab.paths import DiscretePath, equivariant_seed, heat_flow
@@ -400,19 +401,20 @@ def test_divergence_euclidean_lines():
     ax2 = Axis(DiscretePath(space, n2, periodic_shift=tr2), tr2, 1.0)
     grid = [1.0, 2.0, 4.0, 8.0]
     prof = divergence_profile(ax1, ax2, grid)
-    # exact oracle: min over |t| + |s| = R of the chord between the rays
+    # exact oracle: on the quadrant t = st_ (R - a), s = ss a the chord
+    # between the rays is u + a v, so its square is quadratic in a and
+    # least at the vertex clipped to [0, R]
     def oracle(R):
         best = math.inf
-        for a in np.linspace(0.0, R, 4001):
-            for st_, ss in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                t, s_par = st_ * (R - a), ss * a
-                dx = t - s_par * c
-                dy = -s_par * s
-                best = min(best, math.hypot(dx, dy))
+        for st_, ss in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            u = np.array([st_ * R, 0.0])
+            v = np.array([-(st_ + ss * c), -ss * s])
+            a = min(max(-(u @ v) / (v @ v), 0.0), R)
+            best = min(best, math.hypot(*(u + a * v)))
         return best
 
     for R, m in zip(grid, prof.m_values):
-        assert m == pytest.approx(oracle(R), abs=2e-3)
+        assert m == pytest.approx(oracle(R), abs=1e-9)
     ratios = [m / R for m, R in zip(prof.m_values, grid)]
     assert max(ratios) - min(ratios) <= 0.05  # linear growth
 
@@ -432,9 +434,49 @@ def test_divergence_independent_pair(monkeypatch):
     prof = divergence_profile(ax1, ax2, list(range(2, 11)))
     assert all(b > a for a, b in zip(prof.m_values[:-1], prof.m_values[1:]))
     assert prof.m_values[-1] > prof.m_values[0] + 1.0
-    # the scans evaluate each axis point once (3,722 calls here); a scan
-    # that re-evaluates them per partner point makes 7,102
-    assert calls[0] <= 4000
+    # one line search per quadrant and R after the centre search (1,374
+    # calls here); the 65-point scans per quadrant they replace made 3,722
+    assert calls[0] <= 1600
+
+
+def test_divergence_independent_pair_closed_form():
+    # the axes cross at i at the angle phi with cos phi = 1/sqrt(5); by the
+    # hyperbolic law of cosines the gap at arclengths R - a and a from i on
+    # the nearer quadrant has cosh = cosh(R-a) cosh(a) - sinh(R-a) sinh(a)
+    # cos phi = ((1 - cos phi) cosh R + (1 + cos phi) cosh(R - 2a)) / 2,
+    # least at a = R / 2
+    base = make_point(HYP, [(0.05, 1.0)])
+    ax1 = axis(z4(), equivariant_seed(HYP, z4(), base, 16))
+    ax2 = axis(golden(), equivariant_seed(HYP, golden(), base, 16))
+    grid = list(range(2, 11))
+    prof = divergence_profile(ax1, ax2, grid)
+    cos_phi = 1.0 / math.sqrt(5.0)
+    for R, m in zip(grid, prof.m_values):
+        want = math.acosh(((1.0 - cos_phi) * math.cosh(R) + 1.0 + cos_phi) / 2.0)
+        assert m == pytest.approx(want, abs=1e-8)
+
+
+def test_axis_point_at_is_point_along_on_every_period():
+    # the cached segment bundles give what a fresh point_along solve gives,
+    # bit for bit, on both sides of the base period; the Euclidean axis
+    # repeats its first node, so whole periods land on a degenerate segment
+    base = make_point(HYP, [(0.05, 1.0)])
+    tr = Isometry(EU2, (EuclideanAction(np.eye(2), [1.0, 0.0]),))
+    line = tuple(make_point(EU2, [(x, 0.0)]) for x in (0.0, 0.0, 0.25, 0.5, 0.75, 1.0))
+    for ax in (axis(golden(), equivariant_seed(HYP, golden(), base, 16)),
+               Axis(DiscretePath(EU2, line, periodic_shift=tr), tr, 1.0)):
+        cum, pairs = ax._segments()
+        total = cum[-1]
+        for t in [*np.linspace(-2.6 * total, 3.3 * total, 157), *(total * np.arange(-2, 4))]:
+            k = math.floor(t / total)
+            r = t - k * total
+            i = min(max(int(np.searchsorted(cum, r)), 1), len(cum) - 1)
+            seg_len = cum[i] - cum[i - 1]
+            w = 0.0 if seg_len == 0 else (r - cum[i - 1]) / seg_len
+            want = point_along(ax.path.space, *pairs[i - 1], w)
+            if k != 0:
+                want = ax.shift.power(k).apply(want)
+            assert ax.point_at(float(t)).blocks == want.blocks
 
 
 # ---------------------------------------------------------------------------

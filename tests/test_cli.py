@@ -126,6 +126,26 @@ def test_axis_and_diverge_refuse_a_fixed_point(tmp_path, capsys):
     assert captured.err.count("error: flow converged to a fixed point") == 2
 
 
+GOLDEN = '{"factor_actions":[{"kind":"mobius","m":[[5,3],[3,2]]}]}'
+
+
+def test_diverge_writes_deterministic_evaluation_counts(tmp_path, capsys):
+    argv = ["diverge", "--space", HYP_SPACE, "--iso", Z4, "--iso2", GOLDEN,
+            "--base", '{"blocks":[{"coords":[0.05,1.0]}]}', "--rgrid", "0,2,3"]
+    docs = []
+    for run in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / run)]) == 0
+        docs.append(json.loads((tmp_path / run / "divergence.json").read_text()))
+    capsys.readouterr()
+    counts = docs[0]["evaluations"]
+    assert counts == docs[1]["evaluations"]
+    assert set(counts) == {"centre_search", "line_searches"}
+    # the 17 x 65 centre grid, then per R > 0 four corners and four line
+    # searches; R = 0 takes its four corners only
+    assert counts["centre_search"] > 17 * 65
+    assert counts["line_searches"] > 4 * 3 + 2 * 4
+
+
 def test_classify_exit_codes(capsys):
     rc = main(["classify", "--space", HYP_SPACE, "--iso", Z4])
     assert rc == 0
