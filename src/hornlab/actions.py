@@ -446,7 +446,9 @@ class _Objective:
 
     def part(self, u: np.ndarray, ids) -> float:
         """Largest distance over the factors ``ids`` of the pair at ``u``, not
-        an evaluation; the whole displacement on a b3-coupled chart."""
+        an evaluation; on one b3-coupled horn, over the factors of the split
+        chart (``connect.factor_distances``); the whole displacement on two
+        or more."""
         p, q = self.pair(u)
         parts = factor_distances(self.space, p, q)
         return distance(self.space, p, q) if parts is None else max(parts[i] for i in ids)

@@ -2,8 +2,9 @@
 
 Subcommands: tensor, geodesic, distance, relax, axis, classify, diverge,
 proper, masur, expansion, experiment.  Exit codes: 0 pass, 1 assertion
-failure, 2 inconclusive, 3 usage or configuration error.  CSV output uses
-'.' decimals, newline line endings and a header row.
+failure, 2 inconclusive (a distance certified only as an interval among
+them), 3 usage or configuration error.  CSV output uses '.' decimals,
+newline line endings and a header row.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .asymptotics import (
     scaling_fit,
     substitution_check,
 )
-from .errors import BasinError, FlowBudgetError, HornlabError
+from .errors import BasinError, DistanceIntervalError, FlowBudgetError, HornlabError
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.fn(args)
+    except DistanceIntervalError as exc:  # valid input, an uncertified distance
+        sys.stderr.write(f"inconclusive: {exc}\n")
+        return INCONCLUSIVE
     except (HornlabError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE

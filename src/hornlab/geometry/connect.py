@@ -28,11 +28,11 @@ bound term); ``PathBundle``, ``factor_distances`` (and through it
   quadratures run under the square-root substitution ``dx = off + span
   tau^2``.
 * One b3-coupled horn: ``y = x + b3 xi^4 / 4`` on the first Euclidean
-  coordinate splits the horn and that Euclidean block into a product of
-  the horn's *reduced* profile, radial coefficient ``h - b3^2 xi^6``
-  (``PerturbedHorn.reduced``), and a flat block in ``(y, ...)``
-  (:class:`_SplitPath`).  The reduced horn takes the first-integral
-  solver above, never its closed forms, and the ``y`` block a line.
+  coordinate (:func:`_split`) makes the chart a product of the horn's *reduced* profile, radial
+  coefficient ``h - b3^2 xi^6`` (``PerturbedHorn.reduced``), and a flat
+  block in ``(y, ...)``.  So it takes the uncoupled route above, factor
+  by factor on the split chart: the reduced horn the first-integral
+  solver, never its closed forms, and the ``y`` block a line.
   ``sqrt(h - b3^2 xi^6)`` vanishes like ``sqrt(edge - xi)`` at the edge,
   the level where the chart stops being positive definite, so levels
   more than half way up to it take one more Gauss-Legendre panel in
@@ -760,66 +760,42 @@ def _warp_connect(prof: WarpProfile, a, b):
 
 
 # ---------------------------------------------------------------------------
-# one coupled horn: the split chart
+# b3-coupled charts: the split chart
 
 
-class _SplitPath:
-    """Geodesic of the horn and Euclidean blocks of a chart with one
-    b3-coupled horn; one unit of a ``PathBundle``.
-
-    On the first coordinate x of the Euclidean block, ``y = x + b3 xi^4 /
-    4`` turns ``f dtheta^2 + h dxi^2 + 2 b3 xi^3 dxi dx + dx^2`` into the
-    product of the horn's reduced profile ``f dtheta^2 + (h - b3^2 xi^6)
-    dxi^2`` (``PerturbedHorn.reduced``) and the flat block ``(y, ...)``.
-    So the unit is the reduced horn's first-integral path and a straight
-    line in ``(y, ...)``, each at its own constant speed.  Points map back
-    with ``x = y - b3 xi^4 / 4`` and velocities with ``dx = dy - b3 xi^3
-    dxi``; the other Euclidean coordinates are the line's own.
-
-    A horn geodesic never rises above its higher endpoint level, and the
-    reduced coefficient, positive at xi = 0, is positive below every level
-    where it is positive.  So the split holds wherever both endpoints lie
-    below the reduced profile's edge, the least level with ``h - b3^2 xi^6
-    <= 0``, which is where the chart metric is positive definite; any
-    other horn block raises ConnectError.
+def _split(space: SpaceSpec, blocks, sign: float = 1.0) -> list:
+    """Blocks in the split chart (sign +1) or back from it (sign -1): ``y =
+    x + sum_k b3_k xi_k^4 / 4`` over the coupled horns replaces the first
+    coordinate x of the first Euclidean block.  The metric becomes ``dy^2 +
+    sum_k (f_k dtheta_k^2 + h_k dxi_k^2) - (sum_k b3_k xi_k^3 dxi_k)^2``
+    plus the other factors: with one coupled horn, the product of its
+    reduced profile (``PerturbedHorn.reduced``) and the flat ``(y, ...)``.
     """
+    coupled = space.coupled_ids
+    out = list(blocks)
+    if coupled:
+        x = blocks[space.euclid_index]
+        out[space.euclid_index] = (x[0] + sign * sum(
+            space.factors[k].b3 * _level(blocks[k]) ** 4 for k in coupled) / 4.0,) + x[1:]
+    return out
 
-    def __init__(self, factor, horn_a, horn_b, eu_a, eu_b):
-        self.b3 = factor.b3
-        prof = factor.reduced
-        for blk in (horn_a, horn_b):
-            if isinstance(blk, HornPoint) and not blk.xi < prof.edge:
-                raise ConnectError("b3-coupled block at or beyond the positive-definite "
-                                   f"edge xi = {prof.edge!r}: xi = {blk.xi!r}")
-        self.horn = _ConstPath(horn_a) if horn_a == horn_b else _warp_connect(prof, horn_a, horn_b)
-        y_a, y_b = [(x[0] + self.b3 * _level(blk) ** 4 / 4.0,) + tuple(x[1:])
-                    for x, blk in ((eu_a, horn_a), (eu_b, horn_b))]
-        self.line = _ConstPath(y_a) if y_a == y_b else _LinePath(y_a, y_b)
-        self.length = math.hypot(self.horn.length, self.line.length)
 
-    def _at(self, s):
-        """The horn's and the line's arclength parameters at s: each
-        runs the same fraction of its length as s of the unit's."""
-        t = s / self.length if self.length > 0.0 else 0.0
-        return t * self.horn.length, t * self.line.length
-
-    def blocks_at(self, s):
-        s_h, s_y = self._at(s)
-        blk = self.horn.point(s_h)
-        y = self.line.point(s_y)
-        return [blk, (y[0] - self.b3 * _level(blk) ** 4 / 4.0,) + tuple(y[1:])]
-
-    def velocity_blocks_at(self, s):
-        """Unit velocity; None on a boundary horn block, where dx = dy."""
-        s_h, s_y = self._at(s)
-        w_h, w_y = ((self.horn.length / self.length, self.line.length / self.length)
-                    if self.length > 0.0 else (0.0, 0.0))
-        v = self.horn.velocity(s_h)
-        v_h = None if v is None else tuple(w_h * c for c in v)
-        v_y = tuple(w_y * c for c in self.line.velocity(s_y))
-        dxi = 0.0 if v_h is None else v_h[1]
-        xi = _level(self.horn.point(s_h))
-        return [v_h, (v_y[0] - self.b3 * xi**3 * dxi,) + v_y[1:]]
+def _split_blocks(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint):
+    """p's and q's blocks as the factor solvers take them: split on one
+    b3-coupled horn, else as they are.  A horn geodesic stays below its
+    higher endpoint level, and the reduced coefficient is positive below
+    every level where it is, so the split holds below the reduced
+    profile's edge; a horn block at or past it raises ConnectError.
+    """
+    if len(space.coupled_ids) != 1:
+        return p.blocks, q.blocks
+    (k,) = space.coupled_ids
+    edge = space.factors[k].reduced.edge
+    for blk in (p.blocks[k], q.blocks[k]):
+        if isinstance(blk, HornPoint) and not blk.xi < edge:
+            raise ConnectError("b3-coupled block at or beyond the positive-definite "
+                               f"edge xi = {edge!r}: xi = {blk.xi!r}")
+    return _split(space, p.blocks), _split(space, q.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,42 +1107,35 @@ class _GroupPath:
 class PathBundle:
     """Per-factor geodesics assembled into the product geodesic.
 
-    Each unit is one factor's exact path, except on b3-coupled charts: one
-    coupled horn and the first Euclidean factor form a :class:`_SplitPath`,
-    exact factor by factor in the split chart, and two or more coupled
-    horns form a :class:`_GroupPath` with the first Euclidean factor,
-    solved by shooting.  Raises ConnectError where a unit cannot be
-    certified.
+    Each unit is one factor's exact path.  A chart with one b3-coupled
+    horn is a product in its split chart (:func:`_split`), so there the
+    units are the reduced horn's path and a line in ``(y, ...)``, and
+    points and velocities map back.  Two or more coupled horns form a
+    :class:`_GroupPath` with the first Euclidean factor, solved by
+    shooting.  Raises ConnectError where a unit cannot be certified.
     """
 
     def __init__(self, space: SpaceSpec, p: CompletionPoint, q: CompletionPoint):
         self.space = space
         self.p, self.q = p, q
         self.units: list[tuple[tuple[int, ...], object]] = []  # (factor ids, path)
-        grouped: set[int] = set()
         coupled = space.coupled_ids
-        if len(coupled) == 1:
-            k, e = coupled[0], space.euclid_index
-            grouped = {k, e}
-            split = _SplitPath(space.factors[k], p.blocks[k], q.blocks[k],
-                               p.blocks[e], q.blocks[e])
-            self.units.append(((k, e), split))
-        elif coupled:
-            ids = tuple(sorted(coupled + (space.euclid_index,)))
-            grouped = set(ids)
-            sub_space = SpaceSpec(tuple(space.factors[i] for i in ids))
+        self.split = len(coupled) == 1
+        grouped: tuple[int, ...] = ()
+        if len(coupled) > 1:
+            grouped = tuple(sorted(coupled + (space.euclid_index,)))
+            sub_space = SpaceSpec(tuple(space.factors[i] for i in grouped))
             gp = _GroupPath(
-                sub_space, ids,
-                [p.blocks[i] for i in ids],
-                [q.blocks[i] for i in ids],
+                sub_space, grouped,
+                [p.blocks[i] for i in grouped],
+                [q.blocks[i] for i in grouped],
             )
-            self.units.append((ids, gp))
-        for i, factor in enumerate(space.factors):
-            if i in grouped:
-                continue
-            a, b = p.blocks[i], q.blocks[i]
-            path = _ConstPath(a) if a == b else _SOLVERS[factor.kind].path(factor.profile, a, b)
-            self.units.append(((i,), path))
+            self.units.append((grouped, gp))
+        blocks = zip(space.factors, space.split_profiles, *_split_blocks(space, p, q))
+        for i, (factor, prof, a, b) in enumerate(blocks):
+            if i not in grouped:
+                path = _ConstPath(a) if a == b else _SOLVERS[factor.kind].path(prof, a, b)
+                self.units.append(((i,), path))
         self.length = math.sqrt(sum(path.length**2 for _, path in self.units))
 
     def point_at(self, frac: float) -> CompletionPoint:
@@ -1178,6 +1147,8 @@ class PathBundle:
         for ids, path in self.units:
             for fid, blk in zip(ids, path.blocks_at(frac * path.length)):
                 blocks[fid] = blk
+        if self.split:
+            blocks = _split(self.space, blocks, -1.0)
         return make_point(self.space, blocks)
 
     def initial_velocity(self) -> TangentVector | None:
@@ -1189,6 +1160,11 @@ class PathBundle:
             scale = path.length / self.length
             for fid, v in zip(ids, path.velocity_blocks_at(0.0)):
                 blocks[fid] = None if v is None else tuple(scale * c for c in v)
+        if self.split:  # dx = dy - b3 xi^3 dxi; dx = dy on a boundary horn block
+            (k,), e = self.space.coupled_ids, self.space.euclid_index
+            if blocks[k] is not None:
+                (dy, *rest), b3 = blocks[e], self.space.factors[k].b3
+                blocks[e] = (dy - b3 * self.p.blocks[k].xi ** 3 * blocks[k][1], *rest)
         return TangentVector(tuple(blocks))
 
 
@@ -1226,22 +1202,21 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     """Geodesic distance on the completed product space.
 
     Symmetric by construction; zero exactly when the canonicalized
-    points coincide.  Uncoupled charts sum the exact factor distances in
-    quadrature; a chart with one b3-coupled horn is exact too, on the split
-    chart (:class:`_SplitPath`), and one with two or more shoots
-    (:class:`_GroupPath`).  If a factor solve fails to certify, a coupled
-    horn block lies where ``h - b3^2 xi^6 <= 0``, or a shoot fails to
-    integrate, the error is converted to an interval [lower, upper] (the
-    upper bound routes radially through the collapsed axis; see
-    :func:`lower_bound_distance` for what the lower bound assumes on
-    coupled charts).  A shoot that leaves a coupled chart's
+    points coincide.  The exact :func:`factor_distances` sum in
+    quadrature, on the split chart of one b3-coupled horn too; two or more
+    coupled horns shoot (:class:`_GroupPath`).  If a factor solve fails to
+    certify, a coupled horn block lies where ``h - b3^2 xi^6 <= 0``, or a
+    shoot fails to integrate, the error is converted to an interval
+    [lower, upper] (the upper bound routes radially through the collapsed
+    axis; see :func:`lower_bound_distance` for what the lower bound
+    assumes on coupled charts).  A shoot that leaves a coupled chart's
     positive-definite region underflows its step, so such a pair stays an
     interval (see :func:`shooting_connect`).
     """
     if p.blocks == q.blocks:  # make_point canonicalizes: points_equal at tol 0
         return 0.0
     try:
-        if space.coupled:
+        if len(space.coupled_ids) > 1:
             return PathBundle(space, p, q).length
         return math.sqrt(sum(d * d for d in factor_distances(space, p, q)))
     except (ConnectError, IntegrationError):
@@ -1267,10 +1242,14 @@ def _warp_bound(prof: WarpProfile, a, b, upper: bool, c: float | None) -> float:
     """Radial bound term of a horn block: ``H(xi_a) + H(xi_b)`` (upper:
     through the axis) or ``|H(xi_a) - H(xi_b)|`` (lower: radial
     projection); a coupled horn's lower term integrates
-    ``sqrt(h - c xi^6)`` between the levels instead."""
+    ``sqrt(max(h - c xi^6, 0))`` between the levels instead."""
     la, lb = _level(a), _level(b)
     if not upper and c is not None:
-        return _level_length(lambda t: prof.h(t) - c * t**6, la, lb)
+        top = 1.0  # h - c xi^6 <= 0 from top up, as h / xi^6 falls: read it there
+        while prof.h(top) > c * top**6:
+            top *= 2.0
+        return _level_length(lambda t: prof.h(np.minimum(t, top)) - c * np.minimum(t, top)**6,
+                             la, lb)
     H, _ = _radial_primitive(prof)
     return H(la) + H(lb) if upper else abs(H(la) - H(lb))
 
@@ -1285,7 +1264,7 @@ _LINE = _Solver(lambda _, a, b: _LinePath(a, b), lambda _, a, b: math.dist(a, b)
                 lambda _, a, b, upper, c: math.dist(a, b))
 _HYP = _Solver(lambda _, a, b: _HypPath(a, b), lambda _, a, b: _hyp_distance(a, b),
                lambda _, a, b, upper, c: _hyp_distance(a, b))
-# late-bound, as _distance_solvers keeps the solvers' functions per space
+# the distance late-bound, so that a replaced _warp_distance takes effect
 _WARP = _Solver(_warp_connect, lambda prof, a, b: _warp_distance(prof, a, b), _warp_bound)
 
 
@@ -1294,12 +1273,6 @@ _WARP = _Solver(_warp_connect, lambda prof, a, b: _warp_distance(prof, a, b), _w
 #: hyperbolic plane, and the first-integral solver on the warp profile of
 #: a horn kind.  Exact solvers are their own radial bounds.
 _SOLVERS = {"euclidean": _LINE, "hyperbolic": _HYP, "horn": _WARP, "perturbed_horn": _WARP}
-
-
-@lru_cache(maxsize=64)
-def _distance_solvers(space: SpaceSpec) -> tuple[tuple[Callable, object], ...]:
-    """Each factor's exact distance and its profile, resolved once per space."""
-    return tuple((_SOLVERS[f.kind].distance, f.profile) for f in space.factors)
 
 
 def midpoint(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
@@ -1317,11 +1290,14 @@ def point_along(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
 
 def factor_distances(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint
                      ) -> list[float] | None:
-    """Per-factor distances; None when the chart is b3-coupled."""
-    if space.coupled:
+    """Per-factor distances, on the split chart (:func:`_split`) of one
+    b3-coupled horn: its reduced horn's and the ``(y, ...)`` block's.
+    None on two or more coupled horns, which do not split apart."""
+    if len(space.coupled_ids) > 1:
         return None
-    return [0.0 if a == b else dist(prof, a, b)
-            for (dist, prof), a, b in zip(_distance_solvers(space), p.blocks, q.blocks)]
+    return [0.0 if a == b else _SOLVERS[f.kind].distance(prof, a, b)
+            for f, prof, a, b in zip(space.factors, space.split_profiles,
+                                     *_split_blocks(space, p, q))]
 
 
 def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
@@ -1334,9 +1310,10 @@ def upper_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoin
 def lower_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     """Cheap lower bound from per-factor radial projections.
 
-    Rigorous on uncoupled charts.  On a b3-coupled chart it assumes
-    ``h_k - n_c b3_k^2 xi^6 > 0`` on the levels between the endpoints
-    (see :func:`_radial_bound`).  The chart metric itself is positive
+    Rigorous on uncoupled charts and on one b3-coupled horn (the split
+    chart's, :func:`_split`).  On more it assumes ``h_k - n_c b3_k^2 xi^6
+    > 0`` on the levels between the endpoints (see
+    :func:`_radial_bound`).  The chart metric itself is positive
     definite exactly where ``sum_k b3_k^2 xi_k^6 / h_k(xi_k) < 1`` over the
     coupled horns (``spaces.coupling_sum``; ``point_from_json`` rejects
     points beyond it); with one coupled horn the two conditions agree.
@@ -1346,34 +1323,25 @@ def lower_bound_distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoin
 
 def _radial_bound(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint,
                   upper: bool) -> float:
-    """Product of per-factor terms: exact Euclidean and hyperbolic
-    distances, and for a horn block ``H(xi_p) + H(xi_q)`` (upper: through
-    the axis) or ``|H(xi_p) - H(xi_q)|`` (lower: radial projection).
+    """Product of per-factor terms on the split chart (:func:`_split`):
+    exact Euclidean and hyperbolic distances, and for a horn block
+    ``H(xi_p) + H(xi_q)`` (upper: through the axis) or ``|H(xi_p) -
+    H(xi_q)|`` (lower: radial projection).
 
-    On a b3-coupled chart, ``y = x_e + sum_k b3_k xi_k^4 / 4`` on the first
-    Euclidean coordinate ``x_e`` turns the metric into
-    ``sum_k (f_k dtheta_k^2 + h_k dxi_k^2) - (sum_k b3_k xi_k^3 dxi_k)^2
-    + dy^2`` plus the other factors, so ``x_e`` enters through ``Delta y``.
-    Dropping the squared term only lengthens curves, which keeps the upper
-    bound.  By Cauchy-Schwarz over the ``n_c`` coupled horns that term is
-    at most ``n_c sum_k b3_k^2 xi_k^6 dxi_k^2``, so the lower bound's
-    radial terms integrate ``sqrt(h_k - n_c b3_k^2 xi^6)`` between levels.
+    On a b3-coupled chart the split metric is ``dy^2 + sum_k (f_k
+    dtheta_k^2 + h_k dxi_k^2) - (sum_k b3_k xi_k^3 dxi_k)^2`` plus the
+    other factors.  Dropping the squared term only lengthens curves, which
+    keeps the upper bound.  By Cauchy-Schwarz over the ``n_c`` coupled
+    horns that term is at most ``n_c sum_k b3_k^2 xi_k^6 dxi_k^2``, so the
+    lower bound's radial terms integrate ``sqrt(h_k - n_c b3_k^2 xi^6)``
+    between levels.
     """
     coupled = space.coupled_ids
-    eu = space.euclid_index
-    total = 0.0
-    for i, factor in enumerate(space.factors):
-        a, b = p.blocks[i], q.blocks[i]
-        if coupled and i == eu:
-            dy = a[0] - b[0] + sum(
-                space.factors[k].b3 * (_level(p.blocks[k]) ** 4 - _level(q.blocks[k]) ** 4)
-                for k in coupled) / 4.0
-            d = math.hypot(dy, math.dist(a[1:], b[1:]))
-        else:
-            c = len(coupled) * factor.b3**2 if i in coupled else None
-            d = _SOLVERS[factor.kind].bound(factor.profile, a, b, upper, c)
-        total += d * d
-    return math.sqrt(total)
+    terms = [_SOLVERS[factor.kind].bound(factor.profile, a, b, upper,
+                                         len(coupled) * factor.b3**2 if i in coupled else None)
+             for i, (factor, a, b) in enumerate(zip(space.factors, _split(space, p.blocks),
+                                                    _split(space, q.blocks)))]
+    return math.hypot(*terms)
 
 
 def _level(blk) -> float:

@@ -37,8 +37,9 @@ factor's ``kind``: ``connect`` picks a factor's exact solver and
   inside its clamps by the margin an interior certificate needs.
 
 ``SpaceSpec`` adds the facts about the product that several modules use:
-the horn and coupled-horn indices, the first Euclidean factor and the
-chart offsets of the horn and hyperbolic level coordinates.
+the horn and coupled-horn indices, the first Euclidean factor, the
+factor profiles of the split chart and the chart offsets of the horn and
+hyperbolic level coordinates.
 
 A completion point carries one block per factor.  Every interior block is
 a coordinate tuple: a horn-type one is a :class:`HornPoint`, the named
@@ -227,6 +228,8 @@ class _HornKind(_Factor):
 
     dim = 2
     draw = (-2.5, 0.7)
+    #: upper clamp of ``log xi`` in the search chart
+    log_cap = 30.0
 
     def block(self, raw):
         if raw is None or isinstance(raw, BoundaryPoint):
@@ -257,12 +260,13 @@ class _HornKind(_Factor):
         return (block.theta, math.log(block.xi))
 
     def search_block(self, coords):
-        return (coords[0], max(math.exp(min(coords[1], 30.0)), XI_SNAP))
+        return (coords[0], max(math.exp(min(coords[1], self.log_cap)), XI_SNAP))
 
     def search_inside(self, block) -> bool:
-        """``XI_ATTAIN <= xi < e^29.5``: a factor 10 above the lower clamp
-        ``XI_SNAP``, half a unit of ``log xi`` below the upper one at 30."""
-        return XI_ATTAIN <= block.xi < math.exp(29.5)
+        """``XI_ATTAIN <= xi < e^(log_cap - 0.5)``: a factor 10 above the
+        lower clamp ``XI_SNAP``, half a unit of ``log xi`` below the upper
+        one at ``log_cap``."""
+        return XI_ATTAIN <= block.xi < math.exp(self.log_cap - 0.5)
 
 
 class _CoordKind(_Factor):
@@ -362,7 +366,9 @@ class PerturbedHorn(_HornKind):
     block metric the chart uses; ``reduced`` is the warp profile with
     radial coefficient ``4 B (1 + a4 xi^4) - b3^2 xi^6`` that the block
     keeps once ``y = x1 + b3 xi^4 / 4`` splits the coupled coordinate off
-    (the same object as ``profile`` when ``b3 = 0``).
+    (the same object as ``profile`` when ``b3 = 0``).  The search chart
+    clamps ``log xi`` 1e-3 below ``log reduced.edge``, where the chart
+    metric stops being positive definite, if that is below 30.
     """
 
     B: float = 1.0
@@ -383,6 +389,7 @@ class PerturbedHorn(_HornKind):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "reduced", WarpProfile(B=self.B, a4=self.a4, c6=self.c6,
                                                         b3=self.b3) if self.b3 else profile)
+        object.__setattr__(self, "log_cap", min(self.log_cap, math.log(self.reduced.edge) - 1e-3))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "B": self.B, "a4": self.a4, "b3": self.b3, "c6": self.c6}
@@ -443,6 +450,14 @@ class SpaceSpec:
         """Indices of the horns whose b3 amplitude ties them to a Euclidean block."""
         return tuple(i for i, f in enumerate(self.factors)
                      if isinstance(f, PerturbedHorn) and f.b3 > 0)
+
+    @functools.cached_property
+    def split_profiles(self) -> tuple:
+        """Each factor's ``profile``, but a b3-coupled horn's ``reduced``
+        one: the factors of the chart in ``y = x1 + sum_k b3_k xi_k^4 /
+        4``, which is their product when one horn is coupled."""
+        return tuple(f.reduced if i in self.coupled_ids else f.profile
+                     for i, f in enumerate(self.factors))
 
     @property
     def coupled(self) -> bool:

@@ -44,6 +44,29 @@ def test_distance_between_far_apart_levels(ends, capsys):
     assert doc["distance"] == pytest.approx(2e12, rel=1e-12)
 
 
+def test_uncertified_distance_is_inconclusive(capsys):
+    # two b3-coupled horns shoot, and on this pair neither the shoot nor
+    # its curve-shortening fallback certifies: valid input, so exit 2 with
+    # the interval, not the usage code 3
+    space = json.dumps({"factors": [{"kind": "perturbed_horn", "B": 1.0, "b3": 0.2},
+                                    {"kind": "perturbed_horn", "B": 1.0, "a4": 0.1, "b3": 0.2},
+                                    {"kind": "euclidean", "dim": 1}]})
+
+    def point(h1, h2, x):
+        return json.dumps({"blocks": [{"theta": h1[0], "xi": h1[1]},
+                                      {"theta": h2[0], "xi": h2[1]}, {"coords": [x]}]})
+
+    rc = main(["distance", "--space", space,
+               "--from", point((0.632, 0.303), (0.715, 0.34), 0.459),
+               "--to", point((-0.649, 1.336), (0.083, 0.66), -0.155)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    lower, upper = (float(v) for v in err[err.index("[") + 1:err.index("]")].split(","))
+    assert 2.18 < lower < upper < 3.87
+
+
 def test_geodesic_connect_artifacts(tmp_path, capsys):
     rc = main(["geodesic", "--space", HORN_SPACE, "--from", BOUNDARY,
                "--to", TARGET, "--out", str(tmp_path)])

@@ -261,11 +261,20 @@ def test_coupled_chart_connect():
 
 
 def test_coupled_chart_lower_bound_and_factor_distances():
+    # one coupled horn splits off y = x + b3 xi^4 / 4: the parts are the
+    # reduced horn's distance and the y line's; two coupled horns do not split
     space = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), Euclidean(1)))
     p = make_point(space, [(0.0, 0.8), (0.0,)])
     q = make_point(space, [(0.4, 0.9), (0.7,)])
-    assert factor_distances(space, p, q) is None
-    assert lower_bound_distance(space, p, q) <= distance(space, p, q) + 1e-9
+    d = distance(space, p, q)
+    horn, line = factor_distances(space, p, q)
+    assert abs(math.hypot(horn, line) - d) <= 1e-15 * d
+    assert line == pytest.approx(0.7 + 0.2 * (0.9**4 - 0.8**4) / 4.0, rel=1e-15)
+    assert lower_bound_distance(space, p, q) <= d + 1e-9
+    two = SpaceSpec((PerturbedHorn(B=1.0, b3=0.2), PerturbedHorn(B=1.0, b3=0.2), Euclidean(1)))
+    p2 = make_point(two, [(0.0, 0.8), (0.1, 0.7), (0.0,)])
+    q2 = make_point(two, [(0.4, 0.9), (0.3, 0.9), (0.7,)])
+    assert factor_distances(two, p2, q2) is None
 
 
 def test_generic_solvers_match_closed_form():

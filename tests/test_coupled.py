@@ -6,16 +6,22 @@ turns ``f dtheta^2 + h dxi^2 + 2 b3 xi^3 dxi dx + dx^2`` into the product
 ``f dtheta^2 + (h - b3^2 xi^6) dxi^2`` times the ``y`` line.  ``distance``
 solves that split chart itself, so the product oracle below checks its
 plumbing, and damped-Newton shooting on the full chart (``shooting_connect``)
-is the independent reference.  Two or more coupled horns still shoot.
+is the independent reference.  On the split chart an isometry acts factor by
+factor, so ``classify`` gives the labels of the b3 = 0 twins.  Two or more
+coupled horns still shoot.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from hornlab.actions import EuclideanAction, HornAction, Isometry, classify
+from hornlab.cli import main
 from hornlab.errors import ConnectError, DistanceIntervalError, IntegrationError
 from hornlab.geometry import (
     XI_SNAP,
@@ -247,6 +253,45 @@ def test_block_beyond_the_edge_gives_the_bounds():
         assert exc.value.upper == upper_bound_distance(UNDERFLOW, a, b)
         assert exc.value.lower == pytest.approx(4.0379, abs=1e-4)
         assert exc.value.upper == pytest.approx(7.5175, abs=1e-4)
+
+
+def test_bounds_stay_finite_far_past_the_edge():
+    # y^2 and b3^2 xi^6 overflow at xi = 1e60; the interval once read [inf, inf]
+    p = make_point(UNDERFLOW, [(0.0, 0.8), (0.0,)])
+    q = make_point(UNDERFLOW, [(0.4, 1e60), (0.7,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DistanceIntervalError) as exc:
+            distance(UNDERFLOW, p, q)
+    assert math.isfinite(exc.value.upper)
+    assert 0.0 <= exc.value.lower <= exc.value.upper
+
+
+@pytest.mark.parametrize("a, shift, label, L", [
+    (0.0, 1.0, "pseudoAnosov-analog", 1.0),                # d = 1 everywhere
+    (0.5, 0.0, "strictly-pseudoperiodic-analog", 0.0),     # the horn part closes at the axis
+], ids=["pseudoAnosov", "strictly-pseudoperiodic"])
+def test_classify_on_one_coupled_horn(a, shift, label, L):
+    # in the split chart the rotation moves the reduced horn and the shift
+    # the y line, so the displacement is hypot(shift, d_red): the labels of
+    # the b3 = 0 twins on PerturbedHorn(B=1, a4=0.1) x E^1
+    res = classify(Isometry(COUPLED, (HornAction(a=a), EuclideanAction([[1.0]], [shift]))))
+    assert res.label == label
+    assert abs(res.L_estimate - L) <= 1e-10
+
+
+def test_classify_cli_on_one_coupled_horn(capsys):
+    # hypot(1, d_red) tends to 1 only at the axis, where d_red vanishes:
+    # the collapse ray watches the horn part close, so 1 is not attained
+    space = json.dumps({"factors": [{"kind": "perturbed_horn", "B": 1.0, "a4": 0.1, "b3": 0.2},
+                                    {"kind": "euclidean", "dim": 1}]})
+    iso = json.dumps({"factor_actions": [{"kind": "horn_translate", "a": 0.5},
+                                         {"kind": "euclid", "Q": [[1.0]], "t": [1.0]}]})
+    assert main(["classify", "--space", space, "--iso", iso]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["class"] == "reducible-not-pseudoperiodic-analog"
+    assert doc["evidence"]["decided_by"] == "collapse-ray"
+    assert abs(doc["L_estimate"] - 1.0) <= 1e-10
 
 
 def test_two_coupled_horns_still_shoot():
