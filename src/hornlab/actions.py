@@ -24,9 +24,8 @@ each chart point goes to its validated blocks (``search_blocks``) and
 their images (:meth:`Isometry.apply_blocks`), the helpers behind
 ``point_from_search`` and :meth:`Isometry.apply`, and
 ``connect.distance`` measures the pair, with no ``make_point`` round
-trip.  Its Nelder-Mead runs (and the
-centre search of :func:`divergence_profile`) are :func:`_nelder_mead`,
-scipy's algorithm on Python floats with scipy's iterates bit for bit.
+trip.  Its Nelder-Mead runs are :func:`_nelder_mead`, scipy's algorithm
+on Python floats with scipy's iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -1011,7 +1010,7 @@ class DivergenceReport:
     m_values: list[float]
     strictly_increasing_from: float | None
     center_distance: float
-    #: gap evaluations of the centre search (grid and Nelder-Mead) and line searches
+    #: gap evaluations of the centre search (nested line searches) and of the m(R) line searches
     evaluations: dict = field(default_factory=dict)
 
     def csv_table(self) -> tuple[list[str], list[tuple]]:
@@ -1020,42 +1019,41 @@ class DivergenceReport:
 
 
 def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
-                       *, grid_points: int = 65) -> DivergenceReport:
+                       *, grid_points: int | None = None) -> DivergenceReport:
     """m(R) = min of d(A1(t), A2(s)) over |t| + |s| = R.
 
-    Both parameterizations are recentered at the mutual closest approach
-    (a coarse grid of 17 t by ``grid_points`` s samples, polished by
-    Nelder-Mead) so the profile starts at the minimum gap.  In a CAT(0)
-    space (t, s) -> d(A1(t), A2(s)) is jointly convex, so on each sign
-    quadrant of the diamond the gap is a convex function of one variable:
-    m(R) is the least of the four corners and of one bounded line search
-    per quadrant.  The properness proxy is m(R) strictly increasing beyond
-    some R0.
+    In a CAT(0) space the gap (t, s) -> d(A1(t), A2(s)) is jointly convex
+    (Bridson-Haefliger II.2.2).  Both parameterizations are recentered at
+    the mutual closest approach, found by two nested Brent searches on the
+    whole line for the squared gap (smooth where the axes cross): over s
+    for each t, then over t of that least value, which is convex too.  On
+    each sign quadrant of the diamond the gap is convex in one variable,
+    so m(R) is the least of the four corners and of one bounded line
+    search per quadrant.  The properness proxy is m(R) strictly increasing
+    beyond some R0.  ``grid_points`` is accepted and ignored.
     """
     if not all(math.isfinite(R) and R >= 0 for R in R_grid):
         raise ValueError(f"R_grid needs finite R >= 0, got {list(R_grid)}")
     space = axis1.path.space
-    L1, L2 = axis1.period_length, axis2.period_length
     n_gaps = [0]
 
     def gap(t, s):
         n_gaps[0] += 1
         return distance(space, axis1.point_at(t), axis2.point_at(s))
 
-    ts = np.linspace(0.0, L1, 17)
-    ss = np.linspace(-2.0 * L2, 2.0 * L2, grid_points)
-    q2 = [axis2.point_at(float(s)) for s in ss]
-    best = (math.inf, 0.0, 0.0)
-    for t in ts:
-        p1 = axis1.point_at(float(t))
-        for s, q in zip(ss, q2):
-            d = distance(space, p1, q)
-            if d < best[0]:
-                best = (d, float(t), float(s))
-    x, center_d = _nelder_mead(lambda u: gap(u[0], u[1]), np.array(best[1:]),
-                               400, 1e-10, 1e-12)
-    t_c, s_c = float(x[0]), float(x[1])
-    nm_evals = n_gaps[0]
+    def convex_min(f, step):  # (x, f(x)); scipy takes the least of a flat bracket
+        r = minimize_scalar(f, bracket=(0.0, step), method="brent", options={"xtol": 1e-10})
+        return float(r.x), float(r.fun)
+
+    nearest = {}  # t -> (s of A2 nearest A1(t), squared gap there)
+
+    def closest_sq(t):
+        nearest[t] = convex_min(lambda s: gap(t, s) ** 2, axis2.period_length)
+        return nearest[t][1]
+
+    t_c, _ = convex_min(closest_sq, axis1.period_length)
+    s_c, center_sq = nearest[t_c]
+    center_evals = n_gaps[0]
 
     m_values = []
     for R in R_grid:
@@ -1077,9 +1075,9 @@ def divergence_profile(axis1: Axis, axis2: Axis, R_grid,
         R_grid=list(map(float, R_grid)),
         m_values=m_values,
         strictly_increasing_from=inc_from,
-        center_distance=center_d,
-        evaluations={"centre_search": len(ts) * len(ss) + nm_evals,
-                     "line_searches": n_gaps[0] - nm_evals},
+        center_distance=math.sqrt(center_sq),
+        evaluations={"centre_search": center_evals,
+                     "line_searches": n_gaps[0] - center_evals},
     )
 
 

@@ -210,9 +210,9 @@ def cometric_pairing(i: DifferentialModel, j: DifferentialModel, t: complex,
     elif spec.t != t:
         spec = AnnulusSpec(t=t, c=spec.c, n_r=spec.n_r, n_phi=spec.n_phi)
     n_r = spec.n_r
+    fine = _pairing_on_grid(i, j, spec, n_r)
     for _ in range(3):
-        coarse = _pairing_on_grid(i, j, spec, n_r)
-        fine = _pairing_on_grid(i, j, spec, 2 * n_r)
+        coarse, fine = fine, _pairing_on_grid(i, j, spec, 2 * n_r)
         rich = fine + (fine - coarse) / 15.0
         if abs(fine - coarse) <= PAIRING_REL_TOL * max(abs(rich), 1e-300):
             return rich

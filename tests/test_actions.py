@@ -434,9 +434,10 @@ def test_divergence_independent_pair(monkeypatch):
     prof = divergence_profile(ax1, ax2, list(range(2, 11)))
     assert all(b > a for a, b in zip(prof.m_values[:-1], prof.m_values[1:]))
     assert prof.m_values[-1] > prof.m_values[0] + 1.0
-    # one line search per quadrant and R after the centre search (1,374
-    # calls here); the 65-point scans per quadrant they replace made 3,722
-    assert calls[0] <= 1600
+    # two point_at calls per gap: 176 gaps in the nested centre line
+    # searches and 470 in one line search per quadrant and R (1,292 calls)
+    assert prof.evaluations["centre_search"] <= 200
+    assert calls[0] <= 1300
 
 
 def test_divergence_independent_pair_closed_form():
@@ -454,6 +455,35 @@ def test_divergence_independent_pair_closed_form():
     for R, m in zip(grid, prof.m_values):
         want = math.acosh(((1.0 - cos_phi) * math.cosh(R) + 1.0 + cos_phi) / 2.0)
         assert m == pytest.approx(want, abs=1e-8)
+
+
+def test_divergence_ultraparallel_axes_closed_form():
+    # z -> 4z and its conjugate by z -> (3z + 1)/(z + 1) have the axes
+    # {0, oo} and {1, 3}, which stay acosh 2 apart (the semicircle's centre
+    # over its radius); at arclengths a and b from the common perpendicular
+    # cosh gap = 2 cosh a cosh b - sinh a sinh b
+    # = (cosh(a + b) + 3 cosh(a - b)) / 2, least at a = b = R / 2
+    conj = Isometry(HYP, (MobiusAction(((2.75, -2.25), (0.75, -0.25))),))
+    ax1 = axis(z4(), equivariant_seed(HYP, z4(), make_point(HYP, [(0.05, 1.0)]), 16))
+    ax2 = axis(conj, equivariant_seed(HYP, conj, make_point(HYP, [(2.0, 1.0)]), 16))
+    grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+    prof = divergence_profile(ax1, ax2, grid)
+    assert prof.center_distance == pytest.approx(math.acosh(2.0), abs=1e-8)
+    for R, m in zip(grid, prof.m_values):
+        assert m == pytest.approx(math.acosh((math.cosh(R) + 3.0) / 2.0), abs=1e-8)
+
+
+def test_divergence_asymptotic_axes_have_no_centre_window():
+    # z -> 4z and z -> 4z - 3 share the endpoint oo, so the gap has no
+    # least value: it falls like exp(-t) as both axes run up, and the
+    # centre search follows it far past the first period
+    shifted = Isometry(HYP, (MobiusAction(((2.0, -1.5), (0.0, 0.5))),))
+    base = make_point(HYP, [(0.05, 1.0)])
+    ax1 = axis(z4(), equivariant_seed(HYP, z4(), base, 16))
+    ax2 = axis(shifted, equivariant_seed(HYP, shifted, base, 16))
+    prof = divergence_profile(ax1, ax2, [1.0, 2.0, 4.0])
+    assert prof.center_distance < 1e-6
+    assert all(0.0 <= m < 1e-6 for m in prof.m_values)
 
 
 def test_axis_point_at_is_point_along_on_every_period():

@@ -146,6 +146,24 @@ def test_pairing_regular_nearly_constant():
     assert v1 == pytest.approx(math.pi / 16.0, rel=1e-6)
 
 
+def test_pairing_retries_evaluate_each_grid_once(monkeypatch):
+    # a coarse start settles only after three doublings; each retry's
+    # coarse sum is the previous fine one, so every grid is summed once,
+    # and the result is the one the four grids give
+    grids = []
+    on_grid = asymptotics_mod._pairing_on_grid
+
+    def spy(i, j, spec, n_r):
+        grids.append(n_r)
+        return on_grid(i, j, spec, n_r)
+
+    monkeypatch.setattr(asymptotics_mod, "_pairing_on_grid", spy)
+    value = cometric_pairing(R, R, 1e-2, AnnulusSpec(t=1e-2, n_r=16, n_phi=16))
+    assert grids == [16, 32, 64, 128]
+    assert value == pytest.approx(0.19634916959274373, rel=1e-14)
+    assert value == pytest.approx(math.pi / 16.0, rel=1e-5)
+
+
 def test_pairing_hermitian_and_positive():
     for t in (1e-3, 1e-3 * cmath.exp(0.7j)):
         for i in (N, T, TD, R):
