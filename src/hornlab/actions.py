@@ -24,8 +24,9 @@ each chart point goes to its validated blocks (``search_blocks``) and
 their images (:meth:`Isometry.apply_blocks`), the helpers behind
 ``point_from_search`` and :meth:`Isometry.apply`, and
 ``connect.distance`` measures the pair, with no ``make_point`` round
-trip.  Its Nelder-Mead runs are :func:`_nelder_mead`, scipy's algorithm
-on Python floats with scipy's iterates bit for bit.
+trip.  The displacement is convex on a CAT(0) space (Bridson-Haefliger
+II.6.2), so every local minimum is global and one descent from the base
+point (:func:`_descent`) finds the candidate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from .errors import BasinError, FlowBudgetError
 from .geometry import (
@@ -353,9 +354,7 @@ def base_point(space: SpaceSpec) -> CompletionPoint:
 
 
 # sizes and tolerances of the translation-length search
-STARTS = 32          # Nelder-Mead starts: the base point, then random ones
-BOX_LEVELS = 10      # random starts cycle through the boxes [-2^j, 2^j]^d, j <= 10
-NM_MAXITER = 160     # polish Nelder-Mead iterations per chart dimension
+DESCENT_GTOL = 1e-9  # the descent stops at this sup norm of the gradient of log F
 PROBE_RADIUS = 1e-4  # certificate probe radius (the probes repeat at a tenth)
 IMPROVE_TOL = 1e-8   # least displacement drop that counts as an improvement
 RAY_HALVINGS = 44    # collapse-ray steps, each lowering every horn log-level by 2
@@ -364,7 +363,8 @@ GROWTH_STEPS = 24    # infinity-ray steps, step k moving a coordinate by 2^(k/2)
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Seed of the translation-length search's random starts and probes.
+    """Seed of the fixed-point search's random starts and of the
+    certificate probe's random directions.
 
     ``seed`` is the only field: every caller runs the search with the same
     sizes and tolerances, so those are the module constants above.
@@ -389,7 +389,7 @@ class EscapeWitness:
 
 
 #: phases of the search that evaluate the objective, in order
-PHASES = ("coarse", "polish", "collapse", "infinity", "certificate")
+PHASES = ("descent", "collapse", "infinity", "certificate")
 #: what can decide a search: an exact fixed point, a collapse ray, a
 #: candidate at a search clamp, a ray to infinity, or the certificate
 #: probe (which decides "inconclusive" when it finds an improvement)
@@ -401,11 +401,6 @@ class TranslationLengthResult:
     """``evaluations`` is the objective's evaluation count, the sum of
     ``phase_evaluations`` (keyed by :data:`PHASES`); ``decided_by`` is one
     of :data:`DECIDERS`.
-
-    The counts are reproducible on one numpy build only: Nelder-Mead
-    orders tied vertex values by ``np.argsort``, as scipy does, and a SIMD
-    build's sort is not stable, so another build can take other iterates
-    after a tie and spend a few evaluations more or fewer.
     """
 
     L_estimate: float
@@ -451,12 +446,6 @@ class _Objective:
         p, q = self.pair(u)
         parts = factor_distances(self.space, p, q)
         return distance(self.space, p, q) if parts is None else max(parts[i] for i in ids)
-
-
-def _interiority(space: SpaceSpec, u: np.ndarray) -> float:
-    p = point_from_search(space, u)
-    xis = [b.xi for b in p.blocks if isinstance(b, HornPoint)]
-    return min(xis) if xis else math.inf
 
 
 def _is_interior_candidate(space: SpaceSpec, u: np.ndarray) -> bool:
@@ -518,89 +507,28 @@ def _fixed_point_search(iso: Isometry, rng: np.random.Generator):
     return None
 
 
-# Nelder-Mead coefficients: reflection, expansion, contraction, shrink
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+def _descent(F, u0: np.ndarray) -> tuple[np.ndarray, float]:
+    """BFGS from ``u0`` on ``log F`` (central-difference gradients), to a
+    gradient sup norm of ``DESCENT_GTOL``: ``(point, value)`` of the least
+    value ``F`` took.
 
-
-def _sort_vertices(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in numpy's ``argsort`` order of value, as scipy
-    sorts them: NaN last, ties in the order of the build's sort, which is
-    not stable on SIMD builds."""
-    order = np.argsort(fsim).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
-
-
-def _nelder_mead(F, x0, maxiter: int, xatol: float, fatol: float) -> tuple[np.ndarray, float]:
-    """Minimize ``F`` from ``x0``: ``(best vertex, least value)``.
-
-    scipy's ``_minimize_neldermead`` without bounds and with
-    ``adaptive=False``, step for step on Python floats, so every iterate
-    and the result are scipy's bit for bit: the initial simplex scales
-    each coordinate by 1.05 (a zero one becomes 0.00025), the centroid
-    sums the vertices row by row, the trial points are scipy's float
-    expressions, the xatol/fatol test precedes each iteration, and the
-    iteration counter starts at 1 so at most ``maxiter - 1`` iterations
-    run.  ``F`` receives each trial point as a fresh 1-D float array.
-    The least value is NaN when any vertex value is.
+    ``log`` is increasing, so ``log F`` has the minimizers of the convex
+    ``F``, but it is scale free: along an escape ``F`` shrinks
+    geometrically (like ``xi^3`` on a collapsing horn), so its differences
+    vanish while those of ``log F`` stay of order one, and the descent
+    runs on to the search clamps.  A zero value reads as the least
+    positive float.
     """
-    x0 = [float(c) for c in x0]
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
+    best = [math.inf, u0]
 
-    def f(x):
-        return float(F(np.array(x)))
+    def log_f(u):
+        v = F(u)
+        if v < best[0]:
+            best[:] = v, u.copy()
+        return math.log(max(v, math.ulp(0.0)))
 
-    fsim = [f(x) for x in sim]
-    sim, fsim = _sort_vertices(*_sort_vertices(sim, fsim))  # scipy sorts twice here
-    iterations = 1
-    while iterations < maxiter:
-        best = sim[0]
-        if (all(abs(c - b) <= xatol for x in sim[1:] for c, b in zip(x, best))
-                and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
-            break
-        xbar = sim[0]
-        for x in sim[1:-1]:
-            xbar = [a + c for a, c in zip(xbar, x)]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xr = [(1 + _RHO) * a - _RHO * w for a, w in zip(xbar, worst)]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = [(1 + _RHO * _CHI) * a - _RHO * _CHI * w for a, w in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = [(1 + _PSI * _RHO) * a - _PSI * _RHO * w for a, w in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = [(1 - _PSI) * a + _PSI * w for a, w in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + _SIGMA * (c - b) for b, c in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = _sort_vertices(sim, fsim)
-    fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan  # NaN values sort last
-    return np.array(sim[0]), fun
-
-
-def _polish(F, u0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fine Nelder-Mead run from ``u0``, at most ``NM_MAXITER`` iterations
-    per chart dimension: ``(value, point)``."""
-    u, val = _nelder_mead(F, u0, NM_MAXITER * len(u0), 1e-9, 1e-13)
-    return val, u
+    minimize(log_f, u0, method="BFGS", jac="3-point", options={"gtol": DESCENT_GTOL})
+    return best[1], best[0]
 
 
 def _ray(F, space: SpaceSpec, u: np.ndarray, slots, steps, val: float, ref: float, ids):
@@ -665,17 +593,18 @@ def translation_length(iso: Isometry, budget: SearchBudget = SearchBudget()
     """Infimum of the displacement over interior points.
 
     A Gauss-Newton fixed-point search settles the periodic cell exactly.
-    Otherwise multi-start Nelder-Mead (:func:`_nelder_mead`) over
-    expanding boxes in the transformed chart produces candidates; collapse
-    rays (every horn level down, watching the largest horn-factor
-    distance) and rays to infinity (one chart coordinate out, watching the
-    factor that owns it) look for escaping minimizing sequences by one
-    rule, :func:`_ray`, and a trust-region no-improvement certificate backs
-    any attainment claim.  Every phase evaluates one objective,
-    :class:`_Objective`, made once for the isometry.  Returns
-    status "inconclusive" when neither a certificate nor escape evidence
-    materializes in budget.  The result records the phase that decided
-    and the evaluations each phase spent.
+    Otherwise one descent from :func:`base_point` (:func:`_descent`; the
+    displacement is convex, so a local minimum is global) produces the
+    candidate; a collapse ray (every horn level down, watching the largest
+    horn-factor distance) and rays to infinity (one chart coordinate out,
+    watching the factor that owns it) look for escaping minimizing
+    sequences by one rule, :func:`_ray`, and a trust-region no-improvement
+    certificate backs any attainment claim; an improving certificate probe
+    runs the descent again from the better point.  Every phase evaluates
+    one objective, :class:`_Objective`, made once for the isometry.
+    Returns status "inconclusive" when neither a certificate nor escape
+    evidence materializes in budget.  The result records the phase that
+    decided and the evaluations each phase spent.
     """
     F = _Objective(iso)
     L, witness, decided_by = _search(iso, F, np.random.default_rng(budget.seed))
@@ -699,81 +628,48 @@ def _search(iso: Isometry, F: _Objective, rng: np.random.Generator):
         return (*fixed, "fixed-point")
 
     d = space.dim
-    starts = [np.zeros(d)]
-    for s in range(STARTS - 1):
-        j = s % (BOX_LEVELS + 1)
-        starts.append(rng.uniform(-(2.0**j), 2.0**j, d))
-
-    # coarse phase on every start, then polish the most promising few;
-    # ties at equal displacement break toward interior candidates so a
-    # flat horn direction cannot shadow an attained minimum
-    coarse = []
-    for u0 in starts:
-        u, val = _nelder_mead(F, u0, 50 * d, 1e-6, 1e-10)
-        coarse.append((val, u))
-    coarse.sort(key=lambda t: t[0])
-    F.phase = "polish"
-    best_u, best_val = None, math.inf
-    int_u, int_val = None, math.inf
-    polish = coarse[:6] + [t for t in coarse[6:] if _is_interior_candidate(space, t[1])][:2]
-    for _, u0 in polish:
-        val, u = _polish(F, u0)
-        if best_u is None or val < best_val - 1e-12:
-            best_val, best_u = val, u
-        elif val < best_val + 1e-12 and _interiority(space, u) > _interiority(space, best_u):
-            best_val, best_u = min(val, best_val), u
-        if _is_interior_candidate(space, u) and val < int_val:
-            int_val, int_u = val, u
-    # interior candidates only count when they compete with the optimum
-    if int_u is not None and int_val > best_val + max(IMPROVE_TOL, 1e-6 * best_val):
-        int_u, int_val = None, math.inf
-
+    F.phase = "descent"
+    u_min, val = _descent(F, np.zeros(d))
     horn_log_slots = list(space.xi_offsets)  # the opt chart keeps the chart layout
 
-    # collapse rays, then rays to infinity, each judged by _ray's one rule
-    ref = min(best_val, int_val)
-    bound = ref + 1e-12 * (1.0 + abs(ref))  # an escape must end at or below this
+    # a collapse ray, then rays to infinity, each judged by _ray's one rule
+    bound = val + 1e-12 * (1.0 + abs(val))  # an escape must end at or below this
     F.phase = "collapse"
-    sources = [(best_u, best_val)]
-    if int_u is not None and not np.array_equal(int_u, best_u):
-        sources.append((int_u, int_val))
-    hits = []
-    for u_src, v_src in sources if horn_log_slots else ():
-        u = search_vector(space, point_from_search(space, u_src))  # canonical through clamps
-        hits.append(_ray(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), v_src,
-                         space.horn_indices))
-    escape = _escape_witness(hits, space.horn_indices)
-    if escape is not None and escape.displacements[-1] <= bound:
-        return min(best_val, escape.displacements[-1]), escape, "collapse-ray"
+    if horn_log_slots:
+        u = search_vector(space, point_from_search(space, u_min))  # canonical through clamps
+        hit = _ray(F, space, u, horn_log_slots, [-2.0] * RAY_HALVINGS, F(u), val,
+                   space.horn_indices)
+        escape = _escape_witness([hit], space.horn_indices)
+        if escape is not None and escape.displacements[-1] <= bound:
+            return min(val, escape.displacements[-1]), escape, "collapse-ray"
 
-    if int_u is None:
-        # every competitive candidate hugs a search clamp
-        best_point = point_from_search(space, best_u)
-        at_floor = any(isinstance(b, HornPoint) and b.xi < XI_ATTAIN
-                       for b in best_point.blocks)
-        return best_val, _escape_witness([([best_point], [best_val])],
-                                         space.horn_indices if at_floor else ()), "clamp"
+    if not _is_interior_candidate(space, u_min):
+        # the descent ended at a search clamp
+        point = point_from_search(space, u_min)
+        at_floor = any(isinstance(b, HornPoint) and b.xi < XI_ATTAIN for b in point.blocks)
+        return val, _escape_witness([([point], [val])],
+                                    space.horn_indices if at_floor else ()), "clamp"
 
     # rays to infinity: every direction except driving a horn level down,
-    # which the collapse rays own; each watches the factor owning its slot
+    # which the collapse ray owns; each watches the factor owning its slot
     F.phase = "infinity"
     owner = [i for i, f in enumerate(space.factors) for _ in range(f.dim)]
     hits = []
     for slot in range(d):
         for sgn in (1.0,) if slot in horn_log_slots else (1.0, -1.0):
             steps = [sgn * 2.0 ** (k / 2.0) for k in range(1, GROWTH_STEPS + 1)]
-            hits.append(_ray(F, space, int_u, slot, steps, int_val, int_val, (owner[slot],)))
+            hits.append(_ray(F, space, u_min, slot, steps, val, val, (owner[slot],)))
     escape = _escape_witness(hits, ())
     if escape is not None and escape.displacements[-1] <= bound:
-        return min(best_val, escape.displacements[-1]), escape, "infinity-ray"
+        return min(val, escape.displacements[-1]), escape, "infinity-ray"
 
     F.phase = "certificate"
-    improved = _certificate_probe(F, int_u, int_val, rng)
+    improved = _certificate_probe(F, u_min, val, rng)
     if improved is not None:
-        val, _ = _polish(F, improved)
-        if val < int_val - IMPROVE_TOL:
-            return val, None, "certificate"
-    return int_val, point_from_search(space, int_u), "certificate"
+        _, better = _descent(F, improved)
+        if better < val - IMPROVE_TOL:
+            return better, None, "certificate"
+    return val, point_from_search(space, u_min), "certificate"
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +688,7 @@ CLASS_LABELS = (PERIODIC, STRICTLY_PSEUDOPERIODIC, PSEUDO_ANOSOV, REDUCIBLE)
 @dataclass
 class ClassificationResult:
     """``evidence`` is the search's decision record: the phase that decided
-    (``decided_by``) and the objective evaluations per phase, which are
-    reproducible on one numpy build only (see
-    :class:`TranslationLengthResult`)."""
+    (``decided_by``) and the objective evaluations per phase."""
 
     label: str
     L_estimate: float

@@ -56,6 +56,7 @@ about 1e-12; see the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -418,12 +419,27 @@ class _ConstPath(_FactorPath):
         return (0.0,) * len(self.block)
 
 
+#: a length below this has a subnormal or zero sum of squares
+_SQUARES_UNDERFLOW = math.sqrt(sys.float_info.min)
+
+
+def _quadrature(parts) -> float:
+    """Square root of the sum of squares of ``parts`` (a list); ``hypot``,
+    which scales first, where the squares underflow, so every longer
+    result keeps its bits."""
+    total = math.sqrt(sum(d * d for d in parts))
+    return total if total >= _SQUARES_UNDERFLOW else math.hypot(*parts)
+
+
 class _LinePath(_FactorPath):
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.length = float(np.linalg.norm(self.b - self.a))
-        self._dir = (self.b - self.a) / self.length
+        step = self.b - self.a
+        self.length = float(np.linalg.norm(step))
+        if self.length < _SQUARES_UNDERFLOW:  # the squares underflowed: hypot scales first
+            self.length = math.hypot(*step)
+        self._dir = step / self.length
 
     def point(self, s):
         return tuple(self.a + s * self._dir)
@@ -1136,7 +1152,7 @@ class PathBundle:
             if i not in grouped:
                 path = _ConstPath(a) if a == b else _SOLVERS[factor.kind].path(prof, a, b)
                 self.units.append(((i,), path))
-        self.length = math.sqrt(sum(path.length**2 for _, path in self.units))
+        self.length = _quadrature([path.length for _, path in self.units])
 
     def point_at(self, frac: float) -> CompletionPoint:
         if frac <= 0.0:
@@ -1218,7 +1234,7 @@ def distance(space: SpaceSpec, p: CompletionPoint, q: CompletionPoint) -> float:
     try:
         if len(space.coupled_ids) > 1:
             return PathBundle(space, p, q).length
-        return math.sqrt(sum(d * d for d in factor_distances(space, p, q)))
+        return _quadrature(factor_distances(space, p, q))
     except (ConnectError, IntegrationError):
         raise DistanceIntervalError(
             lower_bound_distance(space, p, q),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,27 @@ def test_euclidean_line():
     assert seg.length == pytest.approx(5.0, abs=1e-14)
     m = seg.point_at(0.5)
     assert m.blocks[0] == pytest.approx((1.5, 2.0))
+
+
+def test_line_survives_underflowing_squares():
+    # distinct blocks closer than sqrt(float min) ~ 1.5e-154 have a zero
+    # sum of squares: the length must not read 0, nor the direction NaN
+    eu1 = SpaceSpec((Euclidean(1),))
+    p, q = make_point(eu1, [(0.0,)]), make_point(eu1, [(1e-200,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert midpoint(eu1, p, q).blocks[0] == (5e-201,)
+        assert point_along(eu1, p, q, 0.3).blocks[0] == pytest.approx((3e-201,), rel=1e-15)
+        assert distance(eu1, p, q) == 1e-200
+        p2, q2 = make_point(EU2, [(0.0, 0.0)]), make_point(EU2, [(3e-200, 4e-200)])
+        assert distance(EU2, p2, q2) == pytest.approx(5e-200, rel=1e-15)
+        assert midpoint(EU2, p2, q2).blocks[0] == pytest.approx((1.5e-200, 2e-200), rel=1e-15)
+    # above the underflow every length keeps the bits of its sum of squares
+    rng = np.random.default_rng(3)
+    for scale in (1e-150, 1.0, 1e150):
+        a, b = rng.uniform(-1.0, 1.0, (2, 2)) * scale
+        want = math.sqrt(math.dist(a, b) ** 2)
+        assert distance(EU2, make_point(EU2, [tuple(a)]), make_point(EU2, [tuple(b)])) == want
 
 
 def test_distance_examples():

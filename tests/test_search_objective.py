@@ -7,8 +7,10 @@ give the float of ``displacement(iso, point_from_search(space, u))``,
 bit for bit, on every chart point, snapped levels included.  The
 search's result records which phase decided and what each phase spent;
 the table-1 artifact carries that record under one new ``evidence`` key
-and must otherwise stay byte-identical to the committed pre-record
-artifacts in ``tests/data``.
+and must otherwise stay byte-identical to the committed artifacts in
+``tests/data``, whose values are checked against closed forms.  The
+search's minimizer seeds an axis (a second oracle), and the Horn x Horn
+swap is decided at the clamp within a fixed evaluation budget.
 """
 
 import json
@@ -22,11 +24,16 @@ import pytest
 import hornlab.geometry.connect as connect_mod
 from hornlab.actions import (
     DECIDERS,
+    L_TOL,
     PHASES,
+    PSEUDO_ANOSOV,
+    REDUCIBLE,
+    STRICTLY_PSEUDOPERIODIC,
     EuclideanAction,
     HornAction,
     Isometry,
     _Objective,
+    classify,
     displacement,
     translation_length,
 )
@@ -39,8 +46,10 @@ from hornlab.geometry import (
     PerturbedHorn,
     SpaceSpec,
     factor_distances,
+    point_from_json,
 )
 from hornlab.geometry.spaces import point_from_search
+from hornlab.paths import equivariant_seed, refine_flow
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,11 +120,15 @@ def test_result_records_phases():
     assert tuple(res.phase_evaluations) == PHASES
     assert res.evaluations == sum(res.phase_evaluations.values())
     assert res.decided_by == "collapse-ray"
-    assert res.phase_evaluations["coarse"] > 0 and res.phase_evaluations["certificate"] == 0
+    assert res.phase_evaluations["descent"] > 0 and res.phase_evaluations["certificate"] == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_table1_artifact_matches_the_committed_one(seed, tmp_path):
+    """The table-1 artifact, less its ``evidence`` key, is the committed
+    file byte for byte.  The files were written by the one-descent search,
+    which draws no random start, so the three seeds' files are equal;
+    ``test_table1_goldens_match_the_closed_forms`` checks their values."""
     run_experiment(ExperimentConfig("table1", seed=seed, out_dir=str(tmp_path)))
     doc = json.loads((tmp_path / "table1_classes.json").read_text())
     golden_text = (DATA / f"table1_classes_seed{seed}.json").read_text()
@@ -136,3 +149,43 @@ def test_table1_artifact_matches_the_committed_one(seed, tmp_path):
         "pseudoAnosov-analog": "certificate",
         "reducible-not-pseudoperiodic-analog": "collapse-ray",
     }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_table1_goldens_match_the_closed_forms(seed):
+    # z -> 4z translates its axis x = 0 by ln 4, the reducible cell's
+    # Euclidean factor shifts by 2 while its horn part closes, and the horn
+    # rotation's displacement closes as the level falls
+    golden = json.loads((DATA / f"table1_classes_seed{seed}.json").read_text())
+    pa = golden[PSEUDO_ANOSOV]
+    assert abs(pa["L_estimate"] - math.log(4.0)) <= 1e-12
+    assert abs(golden[REDUCIBLE]["L_estimate"] - 2.0) <= 1e-12
+    spp = golden[STRICTLY_PSEUDOPERIODIC]["L_estimate"]
+    assert 0.0 <= spp <= 1e-12 and spp < L_TOL
+    iso = canonical_isometries()[PSEUDO_ANOSOV]
+    witness = point_from_json(iso.space, pa["witness"]["point"])
+    assert abs(witness.blocks[0][0]) <= 1e-8
+    assert abs(displacement(iso, witness) - pa["L_estimate"]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_minimizer_seeds_the_axis(n):
+    # an attained minimizer p lies on the axis, so the chord from p to gp
+    # already is one period of it: the flow stops at once, with period L
+    iso = canonical_isometries()[PSEUDO_ANOSOV]
+    res = translation_length(iso)
+    assert res.attained
+    _, report = refine_flow(equivariant_seed(iso.space, iso, res.witness, n))
+    assert report.converged and report.iterations <= 16
+    assert abs(report.final_length - math.log(4.0)) <= 1e-12
+
+
+def test_horn_swap_decides_at_the_clamp():
+    # the swap squared turns both horns by 0.3, so the displacement closes
+    # only as both levels fall; at the clamp XI_SNAP the best angle gap is
+    # 0.15 on each horn, where d = sqrt(2) 0.15 XI_SNAP^3
+    res = classify(ISOMETRIES["horn-swap"])
+    assert res.label == STRICTLY_PSEUDOPERIODIC
+    assert res.evidence["decided_by"] == "clamp"
+    assert sum(res.evidence["evaluations"].values()) <= 2500
+    assert res.L_estimate == pytest.approx(math.sqrt(2.0) * 0.15 * XI_SNAP**3, rel=1e-12)
